@@ -22,8 +22,8 @@ namespace {
 
 bool plot_series(const Session& session, const Dfg& d, const char* name) {
   std::cout << "--- " << name << " ---\n";
-  const std::vector<FlowResult> orig = session.run_sweep(d, "original", 3, 15);
-  const std::vector<FlowResult> opt = session.run_sweep(d, "optimized", 3, 15);
+  const std::vector<FlowResult> orig = session.run_sweep({d, "original"}, 3, 15);
+  const std::vector<FlowResult> opt = session.run_sweep({d, "optimized"}, 3, 15);
 
   TextTable t({"Latency", "Original (ns)", "Optimized (ns)", "Gap (ns)"});
   std::vector<double> gap;

@@ -140,8 +140,7 @@ ExploreBench measure_explore(const Dfg& spec, unsigned lo, unsigned hi) {
   const Session session({.workers = 1});
   out.naive_ms = median3_ms([&] {
     out.naive_points =
-        session.run_sweep(spec, "optimized", lo, hi, {}, "list", targets)
-            .size();
+        session.run_sweep({spec, "optimized"}, lo, hi, targets).size();
   });
   ExploreRequest req;
   req.spec = spec;
@@ -603,7 +602,7 @@ void BM_SweepBatch16(benchmark::State& state) {
   const Session session({.workers = static_cast<unsigned>(state.range(0))});
   const Dfg d = diffeq();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.run_sweep(d, "optimized", 3, 18));
+    benchmark::DoNotOptimize(session.run_sweep({d, "optimized"}, 3, 18));
   }
   state.SetLabel(std::to_string(state.range(0)) + " workers");
 }

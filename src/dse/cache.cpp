@@ -303,19 +303,6 @@ std::shared_ptr<const Dfg> ArtifactCache::narrowed(const Dfg& spec) {
   return narrowed_at(digest_of(spec), spec);
 }
 
-std::shared_ptr<const TransformPrep> ArtifactCache::prep(const Dfg& spec,
-                                                         bool narrow) {
-  return prep_at(digest_of(spec), spec, narrow);
-}
-
-unsigned ArtifactCache::resolved_n_bits(const Dfg& spec, bool narrow,
-                                        unsigned latency,
-                                        unsigned n_bits_override,
-                                        const DelayModel& delay) {
-  return n_bits_at(digest_of(spec), spec, narrow, latency, n_bits_override,
-                   delay);
-}
-
 std::shared_ptr<const TransformResult> ArtifactCache::transform(
     const Dfg& spec, bool narrow, unsigned latency, unsigned n_bits_override,
     const DelayModel& delay, const CancelToken& cancel) {

@@ -134,18 +134,6 @@ public:
                                                    bool narrow) override;
   unsigned critical_time(const Dfg& spec, bool narrow) override;
 
-  /// The memoized latency-invariant transform prep of `spec`'s (optionally
-  /// narrowed) kernel. Exposed beyond the StageCache interface because the
-  /// Explorer prices its §3.2 pruning bounds from prep.critical without
-  /// running any per-point stage.
-  std::shared_ptr<const TransformPrep> prep(const Dfg& spec, bool narrow);
-
-  /// The resolved per-cycle budget a request would transform under — the
-  /// same estimate_cycle_budget call transform_spec makes, over the
-  /// memoized prep. Used for pruning bounds and transform keys alike.
-  unsigned resolved_n_bits(const Dfg& spec, bool narrow, unsigned latency,
-                           unsigned n_bits_override, const DelayModel& delay);
-
   /// The sizing this cache was constructed with (shards normalized).
   const ArtifactCacheOptions& options() const { return options_; }
 

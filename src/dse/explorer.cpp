@@ -7,6 +7,7 @@
 
 #include "flow/json.hpp"
 #include "obs/trace.hpp"
+#include "partition/composite.hpp"
 #include "sched/core.hpp"
 #include "support/strings.hpp"
 
@@ -19,7 +20,7 @@ namespace {
 struct Candidate {
   std::size_t flow = 0, scheduler = 0, target = 0;
   unsigned latency = 0;
-  bool priced = false;     ///< bound below is exact (builtin optimized flow)
+  bool priced = false;     ///< bound below is exact (plan_composite)
   Objectives bound;        ///< §3.2 timing bound; area 0 = unknown
   bool keep = true;
   const char* prune_reason = nullptr;
@@ -61,6 +62,25 @@ std::vector<std::string> dedup_axis(const char* what,
     out.push_back(v);
   }
   return out;
+}
+
+/// Whether a successful evaluated point of `c`'s (flow, scheduler, target)
+/// series delivers a timing bound dominating `c`'s — the condition under
+/// which a dominated-bound prune is sound.
+bool covered_by(
+    const Candidate& c,
+    const std::vector<std::pair<const Candidate*, FlowResult>>& done) {
+  for (const auto& [d, result] : done) {
+    if (!result.ok || d->flow != c.flow || d->scheduler != c.scheduler ||
+        d->target != c.target) {
+      continue;
+    }
+    const ImplementationReport& r = result.report;
+    if (dominates({r.latency, r.cycle_ns, r.execution_ns, 0}, c.bound)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 double score_of(const Objectives& o, const ObjectiveWeights& w) {
@@ -116,33 +136,21 @@ ExploreResult Explorer::run(const ExploreRequest& request) const {
            strformat("%s axis must be non-empty", what)});
     }
   }
-  // Axis names are checked directly against the same three registries
-  // Session::run's validate_request consults, with the same wording (all
-  // problems reported at once).
+  // Axis names are checked against the same three registries, with the
+  // same message, as Session::run's validate_request (all problems
+  // reported at once).
   const auto check_names = [&](const std::vector<std::string>& names,
-                               auto&& contains, const char* what,
-                               const std::vector<std::string>& known) {
+                               const auto& registry) {
     for (const std::string& n : names) {
-      if (contains(n)) continue;
-      out.diagnostics.push_back(
-          {DiagSeverity::Error, "registry",
-           strformat("unknown %s '%s' (registered: %s)", what, n.c_str(),
-                     join(known, ", ").c_str())});
+      if (std::optional<std::string> message = registry.unknown(n)) {
+        out.diagnostics.push_back(
+            {DiagSeverity::Error, "registry", *std::move(message)});
+      }
     }
   };
-  FlowRegistry& flow_reg = FlowRegistry::global();
-  check_names(out.flows, [&](const std::string& n) { return flow_reg.contains(n); },
-              "flow", flow_reg.names());
-  check_names(out.schedulers,
-              [&](const std::string& n) {
-                return SchedulerRegistry::global().contains(n);
-              },
-              "scheduler", SchedulerRegistry::global().names());
-  check_names(out.targets,
-              [&](const std::string& n) {
-                return TargetRegistry::global().contains(n);
-              },
-              "target", TargetRegistry::global().names());
+  check_names(out.flows, FlowRegistry::global());
+  check_names(out.schedulers, SchedulerRegistry::global());
+  check_names(out.targets, TargetRegistry::global());
   if (const std::optional<FlowDiagnostic> bad =
           validate_latency_range(request.latency_lo, request.latency_hi)) {
     out.diagnostics.push_back(*bad);
@@ -177,11 +185,13 @@ ExploreResult Explorer::run(const ExploreRequest& request) const {
       c.scheduler = (g / out.targets.size()) % out.schedulers.size();
       c.flow = g / (out.targets.size() * out.schedulers.size());
       c.latency = lat;
-      // The §3.2 bound is exact for the builtin optimized flow with no
-      // budget override: the report prices precisely
-      // adder_depth(estimate_cycle_budget(critical, latency)) — both
-      // available here from the memoized prep, before any stage runs.
-      if (out.flows[c.flow] == "optimized") {
+      // The §3.2 bound is exact for the builtin optimized and partitioned
+      // flows with no budget override: their reports price precisely what
+      // plan_composite — the partition stage's own budget split and
+      // price_partition — computes from the memoized critical times, before
+      // any per-point stage runs.
+      const std::string& flow = out.flows[c.flow];
+      if (flow == "optimized" || flow == "partitioned") {
         // Pricing walks the whole grid before any evaluation; poll per
         // candidate (outside the try: the catch below is for unpriceable
         // specs and must not swallow a cancellation) so a deadline can
@@ -189,59 +199,25 @@ ExploreResult Explorer::run(const ExploreRequest& request) const {
         request.cancel.poll();
         try {
           const Target& target = resolved_targets[c.target];
-          const unsigned n_bits = cache->resolved_n_bits(
-              request.spec, request.options.narrow, lat, 0, target.delay);
-          const unsigned deltas = target.delay.adder_depth(n_bits);
+          std::shared_ptr<const KernelPartition> partition;
+          if (flow == "partitioned") {
+            partition = cache->partition(request.spec, request.options.narrow);
+          }
+          const PartitionBound b =
+              plan_composite(*cache, std::move(partition), request.spec,
+                             request.options.narrow, lat, 0, target.delay)
+                  .bound;
           c.priced = true;
-          c.bound = {lat, target.delay.cycle_ns(deltas),
-                     target.delay.execution_ns(lat, deltas), 0};
+          c.bound = {b.composed_latency, target.delay.cycle_ns(b.max_deltas),
+                     target.delay.execution_ns(b.composed_latency,
+                                               b.max_deltas),
+                     0};
         } catch (const Error&) {
           // A spec the prep stages reject (non-kernel node kinds, narrow
-          // preconditions) cannot be priced; leave the candidate unpriced
-          // and unprunable — evaluation will fail it with the same staged
-          // diagnostics an uncached Session::run produces, keeping the
-          // never-throws contract.
-        }
-      } else if (out.flows[c.flow] == "partitioned") {
-        // The partitioned flow prices through the same one source of truth
-        // its report uses (price_partition over the budget split), so the
-        // bound is exact there too. Single-kernel partitions price as the
-        // optimized flow — identical report by construction. An infeasible
-        // split stays unpriced: evaluation fails the point with the
-        // aggregated per-kernel diagnostic.
-        request.cancel.poll();
-        try {
-          const Target& target = resolved_targets[c.target];
-          const std::shared_ptr<const KernelPartition> part =
-              cache->partition(request.spec, request.options.narrow);
-          if (part->single()) {
-            const unsigned n_bits = cache->resolved_n_bits(
-                request.spec, request.options.narrow, lat, 0, target.delay);
-            const unsigned deltas = target.delay.adder_depth(n_bits);
-            c.priced = true;
-            c.bound = {lat, target.delay.cycle_ns(deltas),
-                       target.delay.execution_ns(lat, deltas), 0};
-          } else {
-            std::vector<unsigned> criticals;
-            criticals.reserve(part->kernels.size());
-            for (const PartitionKernel& k : part->kernels) {
-              criticals.push_back(cache->critical_time(k.spec, false));
-            }
-            const BudgetSplit split =
-                split_latency_budget(*part, criticals, lat);
-            if (!validate_budget_split(*part, criticals, split, lat)) {
-              const PartitionBound b =
-                  price_partition(criticals, split, 0, target.delay);
-              c.priced = true;
-              c.bound = {b.composed_latency,
-                         target.delay.cycle_ns(b.max_deltas),
-                         target.delay.execution_ns(b.composed_latency,
-                                                   b.max_deltas),
-                         0};
-            }
-          }
-        } catch (const Error&) {
-          // Same rescue contract as above: unpriced, unprunable.
+          // preconditions) or an infeasible kernel split cannot be priced;
+          // leave the candidate unpriced and unprunable — evaluation will
+          // fail it with the same staged diagnostics an uncached
+          // Session::run produces, keeping the never-throws contract.
         }
       }
       candidates.push_back(c);
@@ -340,20 +316,7 @@ ExploreResult Explorer::run(const ExploreRequest& request) const {
       if (request.budget != 0 && done.size() + to_run.size() >= request.budget) {
         break;  // the point budget is a hard cap, rescued or not
       }
-      bool covered = false;
-      for (const auto& [d, result] : done) {
-        if (!result.ok || d->flow != (*it)->flow ||
-            d->scheduler != (*it)->scheduler || d->target != (*it)->target) {
-          continue;
-        }
-        const ImplementationReport& r = result.report;
-        if (dominates({r.latency, r.cycle_ns, r.execution_ns, 0},
-                      (*it)->bound)) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) {
+      if (covered_by(**it, done)) {
         ++it;
       } else {
         to_run.push_back(*it);
@@ -365,21 +328,10 @@ ExploreResult Explorer::run(const ExploreRequest& request) const {
     // Leftovers are "dominated-bound" only while a successful point really
     // delivers the dominating bound; a candidate the budget cap kept the
     // rescue loop from re-running is honestly a "budget" prune.
-    bool covered = false;
-    for (const auto& [d, result] : done) {
-      if (!result.ok || d->flow != c->flow || d->scheduler != c->scheduler ||
-          d->target != c->target) {
-        continue;
-      }
-      const ImplementationReport& r = result.report;
-      if (dominates({r.latency, r.cycle_ns, r.execution_ns, 0}, c->bound)) {
-        covered = true;
-        break;
-      }
-    }
     out.pruned.push_back({out.flows[c->flow], out.schedulers[c->scheduler],
                           out.targets[c->target], c->latency,
-                          covered ? "dominated-bound" : "budget", c->bound});
+                          covered_by(*c, done) ? "dominated-bound" : "budget",
+                          c->bound});
   }
 
   // --- assembly: grid-ordered points, frontier, score --------------------

@@ -19,11 +19,12 @@
 //   * an ArtifactCache shared by every evaluation, so only stages whose
 //     inputs changed re-run (targets with equal budgets share transforms,
 //     schedules and datapaths wholesale);
-//   * §3.2 bound pruning — for the "optimized" flow with no budget
-//     override, (latency, cycle_ns, execution_ns) of a candidate are known
-//     *exactly* before any stage runs (the report prices
-//     adder_depth(estimate_cycle_budget(critical, latency)) and the
-//     critical time is memoized), so latency points whose bound is
+//   * §3.2 bound pruning — for the "optimized" and "partitioned" flows
+//     with no budget override, (latency, cycle_ns, execution_ns) of a
+//     candidate are known *exactly* before any stage runs (the report
+//     prices adder_depth(estimate_cycle_budget(critical, latency)) per
+//     kernel, plan_composite computes the same from the memoized critical
+//     times), so latency points whose bound is
 //     dominated on those axes by another point of the same
 //     (flow, scheduler, target) series are skipped — typically the
 //     saturated high-latency tail where the budget stops shrinking. If a

@@ -1,7 +1,7 @@
 #pragma once
 // End-to-end synthesis flow vocabulary: ImplementationReport and FlowOptions.
 //
-// Three flows mirror the three implementations the paper compares:
+// The builtin flows mirror the implementations the paper compares:
 //   * "conventional" (report label "original") — the original specification
 //     through a conventional scheduler (chaining + multicycle) and classic
 //     allocation; this is "Behavioral Compiler on the original spec".
@@ -10,15 +10,13 @@
 //   * "optimized" — the paper's method: kernel extraction (§3.1), cycle
 //     estimation (§3.2), fragmentation + transformed spec (§3.3),
 //     fragment-aware scheduling, bit-level allocation.
+//   * "partitioned" — the optimized pipeline per operative kernel of a
+//     multi-kernel specification, composed under one latency constraint.
 //
-// All three produce an ImplementationReport with the same cost model so the
-// benches can print the paper's tables.
-//
-// The API is hls::Session in flow/session.hpp, which resolves these flows
-// (and user-registered ones) by name through a FlowRegistry, returns a
-// uniform FlowResult with structured diagnostics, and fans independent jobs
-// out over a thread pool. (The run_*_flow free-function shims that predated
-// Session have been removed.)
+// All of them produce an ImplementationReport with the same cost model so
+// the benches can print the paper's tables. The API that runs them is
+// hls::Session (flow/session.hpp); the stages they share live in
+// flow/stages.hpp.
 
 #include <string>
 
@@ -29,7 +27,8 @@
 namespace hls {
 
 struct ImplementationReport {
-  std::string flow;            ///< "original" | "blc" | "optimized"
+  /// "original" | "blc" | "optimized" | "partitioned"
+  std::string flow;
   std::string target;          ///< resolved technology target (registry name)
   unsigned latency = 0;
   unsigned cycle_deltas = 0;   ///< clock length in deltas

@@ -2,124 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 
-#include "alloc/bitlevel.hpp"
 #include "alloc/oplevel.hpp"
-#include "kernel/extract.hpp"
-#include "kernel/narrow.hpp"
+#include "flow/stages.hpp"
 #include "sched/blc.hpp"
 #include "sched/conventional.hpp"
 #include "sched/core.hpp"
-#include "sched/schedule.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/failpoint.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
-
-namespace {
-
-/// The per-stage fault-injection site, "flow.<stage>". The armed check
-/// happens before the name is built, so the unarmed fast path never
-/// allocates.
-void stage_failpoint(const char* name) {
-  if (!failpoints_armed()) return;
-  failpoint(("flow." + std::string(name)).c_str());
-}
-
-/// Runs one flow stage, tagging any hls::Error it raises with the stage
-/// name so Session can report where the flow failed.
-template <typename F>
-auto stage(const char* name, F&& f) {
-  try {
-    return std::forward<F>(f)();
-  } catch (const CancelledError&) {
-    // Cancellation is not a stage failure: let it unwind untagged so
-    // Session::run (and the serve layer) can map it to the dedicated
-    // "cancelled" diagnostic / "deadline" envelope.
-    throw;
-  } catch (const FlowStageError&) {
-    throw;
-  } catch (const Error& e) {
-    throw FlowStageError(name, e.what(), e.context());
-  }
-}
-
-/// stage() plus wall-clock collection when the request opted in
-/// (FlowOptions::timing): the duration lands in FlowResult::timings and as
-/// a Note diagnostic of the same stage name.
-template <typename F>
-auto timed_stage(FlowResult& out, const FlowRequest& req, const char* name,
-                 F&& f) {
-  // Every stage boundary is a cancellation checkpoint, a failpoint site and
-  // a trace-span site; each is a branch-on-null / branch-on-atomic no-op
-  // when nothing is armed.
-  req.cancel.poll();
-  stage_failpoint(name);
-  ScopedSpan span(name, "flow");
-  const bool metrics = metrics_armed();
-  if (!req.options.timing && !metrics) return stage(name, std::forward<F>(f));
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = stage(name, std::forward<F>(f));
-  const double ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  if (metrics) {
-    MetricsRegistry::global()
-        .histogram(std::string("flow.stage.") + name + ".ms")
-        .record(ms);
-  }
-  if (req.options.timing) {
-    out.timings.push_back({name, ms});
-    out.diagnostics.push_back(timing_note(name, ms));
-  }
-  return result;
-}
-
-ImplementationReport make_report(std::string flow, const Target& target,
-                                 unsigned latency, unsigned cycle_deltas,
-                                 Datapath dp, std::size_t op_count) {
-  ImplementationReport r;
-  r.flow = std::move(flow);
-  r.target = target.name;
-  r.latency = latency;
-  r.cycle_deltas = cycle_deltas;
-  r.cycle_ns = target.delay.cycle_ns(cycle_deltas);
-  r.execution_ns = target.delay.execution_ns(latency, cycle_deltas);
-  r.area = area_of(dp, target.gates);
-  r.datapath = std::move(dp);
-  r.op_count = op_count;
-  return r;
-}
-
-void note(FlowResult& r, const char* stage_name, std::string message) {
-  r.diagnostics.push_back({DiagSeverity::Note, stage_name, std::move(message)});
-}
-
-/// Resolves the request's target for a builtin flow, recording the resolved
-/// name on the result and a note diagnostic. Unknown names throw a
-/// "registry"-stage error (Session::run pre-validates, so this only fires
-/// when flows:: functions are called directly).
-Target resolve_target_stage(FlowResult& out, const FlowRequest& req) {
-  try {
-    Target t = resolve_target(req.target);
-    out.target = t.name;
-    note(out, "flow",
-         strformat("target '%s': %s adders, delta %.3g ns, overhead %.3g ns",
-                   t.name.c_str(), to_string(t.delay.style), t.delay.delta_ns,
-                   t.delay.sequential_overhead_ns));
-    return t;
-  } catch (const Error& e) {
-    throw FlowStageError("registry", e.what(), e.context());
-  }
-}
-
-} // namespace
 
 FlowDiagnostic timing_note(std::string stage, double ms) {
   return {DiagSeverity::Note, std::move(stage),
@@ -191,10 +85,10 @@ FlowResult blc(const FlowRequest& req) {
   FlowResult out;
   out.flow = "blc";
   const Target target = resolve_target_stage(out, req);
-  const Dfg kernel = timed_stage(out, req, "kernel", [&]() -> Dfg {
-    if (req.cache) return req.cache->kernel(req.spec)->kernel;
-    return is_kernel_form(req.spec) ? req.spec : extract_kernel(req.spec);
-  });
+  const StageHook hook(req);
+  const std::shared_ptr<const KernelArtifact> art = timed_stage(
+      out, req, "kernel", [&] { return hook.cache().kernel(req.spec); });
+  const Dfg& kernel = art->kernel;
   const OpSchedule s = timed_stage(out, req, "schedule", [&] {
     return schedule_blc(kernel, req.latency, target.delay);
   });
@@ -211,103 +105,11 @@ FlowResult optimized(const FlowRequest& req) {
   FlowResult out;
   out.flow = "optimized";
   const Target target = resolve_target_stage(out, req);
-  // With a StageCache attached, every heavyweight artefact is obtained
-  // through it; the cache computes with exactly the calls of the uncached
-  // branches below, so results stay bit-identical either way (the cache
-  // contract of flow/stage_cache.hpp).
-  StageCache* const cache = req.cache.get();
-  KernelStats stats;
-  const bool already_kernel = is_kernel_form(req.spec);
-  Dfg kernel = timed_stage(out, req, "kernel", [&]() -> Dfg {
-    if (cache) {
-      const std::shared_ptr<const KernelArtifact> art = cache->kernel(req.spec);
-      stats = art->stats;
-      return art->kernel;
-    }
-    return already_kernel ? req.spec : extract_kernel(req.spec, &stats);
-  });
-  if (req.options.narrow) {
-    kernel = timed_stage(out, req, "narrow", [&]() -> Dfg {
-      return cache ? *cache->narrowed(req.spec) : narrow_widths(kernel);
-    });
-  }
-  if (already_kernel) {
-    note(out, "kernel", "specification already in kernel form");
-  } else {
-    note(out, "kernel",
-         strformat("%zu operations -> %zu unsigned additions",
-                   stats.ops_before, stats.adds_after));
-  }
-  out.transform = timed_stage(out, req, "transform", [&]() -> TransformResult {
-    if (cache) {
-      return *cache->transform(req.spec, req.options.narrow, req.latency,
-                               req.n_bits_override, target.delay, req.cancel);
-    }
-    return transform_spec(kernel, req.latency, req.n_bits_override,
-                          target.delay);
-  });
-  note(out, "transform",
-       strformat("cycle budget %u chained bits%s", out.transform->n_bits,
-                 req.n_bits_override == 0 ? " (estimated)" : " (override)"));
-  out.scheduler = req.scheduler;
-  OracleCounters counters;
-  out.schedule = timed_stage(out, req, "schedule", [&]() -> FragSchedule {
-    if (cache) {
-      return *cache->fragment_schedule(req.scheduler, req.spec,
-                                       req.options.narrow, req.latency,
-                                       req.n_bits_override, target.delay,
-                                       req.cancel);
-    }
-    SchedulerOptions opts;
-    opts.cancel = req.cancel;
-    if (req.options.timing || metrics_armed()) {
-      // Counters ride the same opt-in as timings (or the process-wide
-      // metrics registry); defaults otherwise, so the schedule stays
-      // bit-identical with and without --timing. Counter collection never
-      // changes placement, and out.counters is only populated on the
-      // --timing opt-in, keeping the JSON byte-stable under --metrics.
-      opts.counters = &counters;
-      FragSchedule fs = run_scheduler(req.scheduler, *out.transform, opts);
-      if (req.options.timing) out.counters = counters;
-      if (metrics_armed()) {
-        publish_oracle_counters(MetricsRegistry::global(), counters);
-      }
-      return fs;
-    }
-    return run_scheduler(req.scheduler, *out.transform, opts);
-  });
-  note(out, "schedule",
-       strformat("scheduler '%s' placed %zu fragments in %zu adder ops",
-                 req.scheduler.c_str(), out.transform->adds.size(),
-                 out.schedule->fu_ops.size()));
-  Datapath dp = timed_stage(out, req, "allocate", [&]() -> Datapath {
-    if (cache) {
-      return *cache->bitlevel_datapath(req.scheduler, req.spec,
-                                       req.options.narrow, req.latency,
-                                       req.n_bits_override, target.delay,
-                                       req.cancel);
-    }
-    return allocate_bitlevel(*out.transform, *out.schedule);
-  });
-  if (req.options.timing) {
-    // An explicit re-verification pass, so `--timing` reports what the
-    // bit-exact validation of the final schedule costs. Idempotent: the
-    // scheduler already validated the schedule it returned.
-    timed_stage(out, req, "verify", [&] {
-      validate_schedule(out.transform->spec, out.schedule->schedule);
-      return 0;
-    });
-  }
-  // The schedule fabric stays in chained-bit slots; the clock the report
-  // prices is the delta depth of the per-cycle chained window under the
-  // target's adder style (identity for ripple; the composite-window
-  // best-case bound for sublinear styles — see DelayModel::adder_depth).
-  out.report = make_report("optimized", target, req.latency,
-                           target.delay.adder_depth(out.transform->n_bits),
-                           std::move(dp),
-                           out.transform->spec.operations().size());
-  out.kernel_stats = stats;
-  out.kernel = std::move(kernel);
+  const StageHook hook(req);
+  kernel_stages(out, req, hook.cache());
+  CompositeSchedule cs = single_kernel_plan(req.latency);
+  run_kernels(out, req, hook, target, "optimized", {&req.spec},
+              req.options.narrow, cs);
   out.ok = true;
   return out;
 }
@@ -321,40 +123,14 @@ FlowRegistry& FlowRegistry::global() {
   // static storage, so never run destructors against them at exit.
   static FlowRegistry* r = [] {
     auto* reg = new FlowRegistry;
-    reg->register_flow("conventional", flows::conventional);
-    reg->register_flow("original", flows::conventional);  // legacy alias
-    reg->register_flow("blc", flows::blc);
-    reg->register_flow("optimized", flows::optimized);
-    reg->register_flow("partitioned", flows::partitioned);
+    reg->add("conventional", flows::conventional);
+    reg->add("original", flows::conventional);  // legacy alias
+    reg->add("blc", flows::blc);
+    reg->add("optimized", flows::optimized);
+    reg->add("partitioned", flows::partitioned);
     return reg;
   }();
   return *r;
-}
-
-void FlowRegistry::register_flow(std::string name, FlowFn fn) {
-  HLS_REQUIRE(!name.empty(), "flow name must be non-empty");
-  HLS_REQUIRE(static_cast<bool>(fn), "flow function must be callable");
-  const std::lock_guard<std::mutex> lock(mu_);
-  flows_[std::move(name)] = std::move(fn);
-}
-
-bool FlowRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return flows_.count(name) != 0;
-}
-
-FlowFn FlowRegistry::find(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = flows_.find(name);
-  return it == flows_.end() ? FlowFn{} : it->second;
-}
-
-std::vector<std::string> FlowRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(flows_.size());
-  for (const auto& [name, fn] : flows_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
 }
 
 // --- request validation ------------------------------------------------------
@@ -362,25 +138,17 @@ std::vector<std::string> FlowRegistry::names() const {
 std::vector<FlowDiagnostic> validate_request(const FlowRequest& request,
                                              const FlowRegistry& registry) {
   std::vector<FlowDiagnostic> out;
-  const auto unknown = [&out](const char* what, const std::string& name,
-                              const std::vector<std::string>& known) {
-    out.push_back({DiagSeverity::Error, "registry",
-                   std::string("unknown ") + what + " '" + name +
-                       "' (registered: " + join(known, ", ") + ")"});
+  const auto check = [&out](const auto& names, const std::string& name) {
+    if (std::optional<std::string> message = names.unknown(name)) {
+      out.push_back({DiagSeverity::Error, "registry", *std::move(message)});
+    }
   };
-  if (!registry.contains(request.flow)) {
-    unknown("flow", request.flow, registry.names());
-  }
+  check(registry, request.flow);
   if (request.latency == 0) {
     out.push_back({DiagSeverity::Error, "request", "latency must be >= 1"});
   }
-  if (!SchedulerRegistry::global().contains(request.scheduler)) {
-    unknown("scheduler", request.scheduler,
-            SchedulerRegistry::global().names());
-  }
-  if (!TargetRegistry::global().contains(request.target)) {
-    unknown("target", request.target, TargetRegistry::global().names());
-  }
+  check(SchedulerRegistry::global(), request.scheduler);
+  check(TargetRegistry::global(), request.target);
   return out;
 }
 
@@ -421,7 +189,7 @@ FlowResult Session::run(const FlowRequest& request) const {
     out.diagnostics = std::move(problems);
     return out;
   }
-  const FlowFn fn = registry_->find(request.flow);
+  const FlowFn fn = registry_->resolve(request.flow);
   try {
     FlowResult r = fn(request);
     r.flow = request.flow;
@@ -486,19 +254,18 @@ std::vector<FlowResult> Session::run_batch(
 }
 
 std::vector<FlowResult> Session::run_sweep(
-    const Dfg& spec, const std::string& flow, unsigned lo, unsigned hi,
-    const FlowOptions& options, const std::string& scheduler,
+    const FlowRequest& tmpl, unsigned lo, unsigned hi,
     const std::vector<std::string>& targets) const {
   const std::vector<std::string> target_names =
-      targets.empty() ? std::vector<std::string>{kDefaultTargetName} : targets;
+      targets.empty() ? std::vector<std::string>{tmpl.target} : targets;
   // An empty/inverted range is a malformed request, reported the same way
   // Session::run reports one: a single ok == false result with a
   // "request"-stage Error diagnostic (never a throw, never a silently empty
   // vector). ExploreRequest validation reuses validate_latency_range.
   if (const std::optional<FlowDiagnostic> bad = validate_latency_range(lo, hi)) {
     FlowResult out;
-    out.flow = flow;
-    out.scheduler = scheduler;
+    out.flow = tmpl.flow;
+    out.scheduler = tmpl.scheduler;
     out.target = target_names.front();
     out.diagnostics.push_back(*bad);
     return {std::move(out)};
@@ -507,7 +274,9 @@ std::vector<FlowResult> Session::run_sweep(
   requests.reserve(target_names.size() * (hi - lo + 1));
   for (const std::string& target : target_names) {
     for (unsigned lat = lo; lat <= hi; ++lat) {
-      requests.push_back({spec, flow, lat, 0, options, scheduler, target});
+      FlowRequest& r = requests.emplace_back(tmpl);
+      r.latency = lat;
+      r.target = target;
     }
   }
   return run_batch(requests);

@@ -19,17 +19,15 @@
 // the request).
 //
 // The builtin flows are registered in FlowRegistry::global() under
-// "conventional" (alias "original"), "blc" and "optimized"; user flows can
-// be registered next to them. Flows that fragment-schedule resolve
-// FlowRequest::scheduler through SchedulerRegistry::global() the same way
-// ("list", "forcedirected", or user-registered strategies).
+// "conventional" (alias "original"), "blc", "optimized" and "partitioned";
+// user flows can be registered next to them. Flows that fragment-schedule
+// resolve FlowRequest::scheduler through SchedulerRegistry::global() the
+// same way ("list", "forcedirected", or user-registered strategies).
 
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -40,9 +38,12 @@
 #include "sched/fragsched.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
+#include "support/registry.hpp"
 #include "timing/target.hpp"
 
 namespace hls {
+
+struct CompositeSchedule;  // partition/composite.hpp
 
 /// One synthesis job: spec + flow name + constraint. Owns its specification
 /// so batches of requests are safe to execute concurrently.
@@ -62,11 +63,12 @@ struct FlowRequest {
   /// drives §3.2 cycle estimation, the fragment budget, allocation area
   /// and the ns numbers of the report.
   std::string target = kDefaultTargetName;
-  /// Optional per-stage artefact cache (flow/stage_cache.hpp). When set,
-  /// the builtin flows obtain kernel/transform/schedule/datapath artefacts
-  /// through it instead of recomputing; results stay bit-identical to
-  /// uncached runs. Shared, so one store serves a whole batch across
-  /// run_batch workers — hls::Explorer attaches an ArtifactCache here.
+  /// Optional per-stage artefact cache (flow/stage_cache.hpp) that
+  /// outlives the request. When set, the builtin flows obtain their
+  /// kernel/transform/schedule/datapath artefacts from it; when unset, from
+  /// a per-request hook that computes each once. Results are bit-identical
+  /// either way. Shared, so one store serves a whole batch across run_batch
+  /// workers — hls::Explorer attaches an ArtifactCache here.
   std::shared_ptr<StageCache> cache;
   /// Cooperative cancellation (support/cancel.hpp). Unarmed by default —
   /// poll sites reduce to a null test and results are byte-stable. When a
@@ -85,8 +87,9 @@ enum class DiagSeverity { Note, Warning, Error };
 struct FlowDiagnostic {
   DiagSeverity severity = DiagSeverity::Note;
   std::string stage;    ///< "registry" | "request" | "kernel" | "narrow" |
-                        ///< "transform" | "schedule" | "allocate" |
-                        ///< "verify" | "flow" | "cancelled" | "internal"
+                        ///< "partition" | "transform" | "schedule" |
+                        ///< "schedule.k<i>" | "allocate" | "verify" |
+                        ///< "flow" | "cancelled" | "internal"
   std::string message;
   ErrorContext context;
 };
@@ -98,7 +101,8 @@ const char* to_string(DiagSeverity s);
 std::string error_text(const std::vector<FlowDiagnostic>& diagnostics);
 
 /// Wall-clock of one flow stage (FlowOptions::timing): "kernel", "narrow",
-/// "transform", "schedule", "allocate", "verify" — the CLI adds "parse".
+/// "partition", "transform", "schedule" (or "schedule.k<i>"), "allocate",
+/// "verify" — the CLI adds "parse".
 struct StageTiming {
   std::string stage;
   double ms = 0;
@@ -131,7 +135,8 @@ struct PartitionSummary {
 
 /// Uniform result of any flow. `report` is valid when `ok`; the artefact
 /// members are populated by flows that produce them (the optimized flow
-/// fills all four, the conventional/BLC flows none).
+/// fills all four; the partitioned flow the kernel pair, plus transform and
+/// schedule on single-kernel results; the conventional/BLC flows none).
 struct FlowResult {
   std::string flow;       ///< registry name the request asked for
   /// Scheduling strategy used: set by flows that fragment-schedule;
@@ -159,6 +164,11 @@ struct FlowResult {
   /// Composition summary of the "partitioned" flow; absent on every other
   /// flow (and in their serialized results).
   std::optional<PartitionSummary> partition;
+  /// The partitioned flow's per-kernel composition on multi-kernel results
+  /// (single-kernel results carry `transform` and `schedule` instead):
+  /// what simulate_composite executes and composed_area prices. Not
+  /// serialized.
+  std::shared_ptr<const CompositeSchedule> composite;
 
   /// All Error-severity diagnostic messages, joined with "; ".
   std::string error_text() const;
@@ -192,23 +202,12 @@ private:
 
 /// String-keyed flow registry. Thread-safe; registration replaces any
 /// previous flow of the same name.
-class FlowRegistry {
+class FlowRegistry : public NamedRegistry<FlowFn> {
 public:
-  FlowRegistry() = default;
+  FlowRegistry() : NamedRegistry("flow") {}
 
   /// The process-wide registry, with the builtin flows pre-registered.
   static FlowRegistry& global();
-
-  void register_flow(std::string name, FlowFn fn);
-  bool contains(const std::string& name) const;
-  /// The registered flow, or an empty function when the name is unknown.
-  FlowFn find(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-
-private:
-  mutable std::mutex mu_;
-  std::map<std::string, FlowFn> flows_;
 };
 
 struct SessionOptions {
@@ -233,18 +232,19 @@ public:
   /// requests[i] and is bit-identical to run(requests[i]).
   std::vector<FlowResult> run_batch(const std::vector<FlowRequest>& requests) const;
 
-  /// Latency sweep lo..hi (inclusive) of one flow over one spec — a
-  /// run_batch of (hi - lo + 1) requests per target. `targets` extends the
+  /// Latency sweep lo..hi (inclusive) of one request template — a
+  /// run_batch of (hi - lo + 1) copies of `tmpl` per target, differing only
+  /// in latency and target; spec, flow, options, scheduler, budget
+  /// override, cache and cancel token ride along. `targets` extends the
   /// sweep across technology targets (registry names); empty means the
-  /// default target only. Results are target-major: all latencies of
+  /// template's own target. Results are target-major: all latencies of
   /// targets[0], then all latencies of targets[1], ...
   /// An empty or inverted range (lo < 1 or hi < lo) returns a single
   /// ok == false result carrying the validate_latency_range diagnostic —
   /// structured like every other malformed request, never a bare throw or
   /// a silently empty vector.
   std::vector<FlowResult> run_sweep(
-      const Dfg& spec, const std::string& flow, unsigned lo, unsigned hi,
-      const FlowOptions& options = {}, const std::string& scheduler = "list",
+      const FlowRequest& tmpl, unsigned lo, unsigned hi,
       const std::vector<std::string>& targets = {}) const;
 
   /// Worker threads run_batch would use for `jobs` jobs.
@@ -273,17 +273,18 @@ std::optional<FlowDiagnostic> validate_latency_range(unsigned lo, unsigned hi);
 namespace flows {
 /// The builtin pipelines behind the registry's "conventional", "blc" and
 /// "optimized" entries. They throw FlowStageError on infeasible requests
-/// (Session::run converts that into diagnostics; the deprecated free
-/// functions in flow.hpp let it escape).
+/// (Session::run converts that into diagnostics; direct calls see it).
 FlowResult conventional(const FlowRequest& request);
 FlowResult blc(const FlowRequest& request);
+/// The paper's pipeline: the per-kernel pipeline of flow/stages.hpp over
+/// one kernel, keyed on the request spec.
 FlowResult optimized(const FlowRequest& request);
 /// The multi-kernel composition (registry name "partitioned", defined in
-/// partition/flow.cpp): kernel extraction, partitioning into maximal
-/// operative kernels, a latency-budget split, the optimized per-kernel
-/// pipeline for every kernel, and a composed report. Bit-identical to
-/// flows::optimized — shared StageCache entries included — when the
-/// partition has a single kernel.
+/// partition/flow.cpp): the optimized flow's kernel stages, partitioning
+/// into maximal operative kernels with a latency-budget split, then the
+/// same per-kernel pipeline over every kernel and a composed report.
+/// Bit-identical to flows::optimized — shared StageCache entries included —
+/// when the partition has a single kernel.
 FlowResult partitioned(const FlowRequest& request);
 } // namespace flows
 

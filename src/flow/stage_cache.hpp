@@ -1,22 +1,37 @@
 #pragma once
-// StageCache — the flow engine's hook for content-addressed memoization of
-// per-stage artefacts.
+// StageCache — the flow engine's stage hook: every heavyweight artefact of
+// the fragment-scheduling flows (blc, optimized, partitioned) is obtained
+// through one.
 //
-// A FlowRequest may carry a StageCache (FlowRequest::cache); the builtin
-// flows then obtain each heavyweight artefact through the cache instead of
-// recomputing it. The contract every implementation must honour:
+// A FlowRequest may carry a StageCache (FlowRequest::cache) that outlives
+// it; a request without one gets a non-retaining per-request hook
+// (flow/stages.hpp) that computes each artefact once with the stage
+// functions. The contract every implementation must honour:
 //
-//   each getter returns EXACTLY what the uncached stage call in
-//   flows::{optimized,blc} computes for the same inputs — bit-identical,
-//   hash collisions excepted by construction (the dse/ ArtifactCache keys
-//   on a 128-bit content digest).
+//   each getter returns EXACTLY what the stage functions compute for the
+//   same inputs (extract_kernel, narrow_widths, partition_kernel,
+//   prepare_transform + transform_prepared under the resolved budget,
+//   run_scheduler, allocate_bitlevel) — bit-identical, hash collisions
+//   excepted by construction (the dse/ ArtifactCache keys on a 128-bit
+//   content digest).
 //
 // Because the stage functions are pure, a cache hit is observationally
 // identical to a recompute: FlowResults of cached runs are bit-identical to
-// uncached Session::run of the same request (the dse/ test suite pins this
-// across every registry suite). Hit/miss accounting therefore lives on the
-// cache object (dse::CacheStats), never in the FlowResult — a result must
-// not reveal whether it was served from cache.
+// uncached Session::run of the same request (tests/identity_test.cpp pins
+// this across every registry suite). Hit/miss accounting therefore lives on
+// the cache object (dse::CacheStats), never in the FlowResult — a result
+// must not reveal whether it was served from cache.
+//
+// What the builtin flows promise an implementation, within one request:
+//   * every getter receives either the request's own spec (req.spec) or a
+//     sub-kernel spec p.kernels[k].spec owned by the KernelPartition this
+//     cache's partition() returned for that request;
+//   * each spec object is always passed with ONE parameter set (narrow,
+//     latency, budget override, delay model, scheduler) — the request's for
+//     req.spec, (narrow = false, the kernel's budget slice) for a sub-kernel.
+// An implementation may therefore memoize per spec object for the duration
+// of a request (the per-request hook does; so may test and benchmark
+// hooks), while a cache that outlives requests keys on content instead.
 //
 // The production implementation is hls::ArtifactCache (dse/cache.hpp);
 // Explorer attaches one cache to every request of an exploration so a
@@ -45,8 +60,10 @@ struct KernelArtifact {
   bool already_kernel = false;
 };
 
-/// Abstract per-stage artefact store. All methods are thread-safe and may
-/// be called concurrently from Session::run_batch workers.
+/// Abstract per-stage artefact store. A cache carried on FlowRequest::cache
+/// may be shared by many requests, so its methods must be thread-safe
+/// (Session::run_batch workers call them concurrently); the per-request
+/// hook serves one flow invocation on one thread.
 class StageCache {
 public:
   virtual ~StageCache() = default;
@@ -85,29 +102,18 @@ public:
       const CancelToken& cancel = {}) = 0;
 
   /// partition_kernel over the (optionally narrowed) kernel of `spec` — the
-  /// "partitioned" flow's kernel split. Defaults to nullptr so StageCache
-  /// implementations that predate partitioning keep compiling; the flow
-  /// computes inline when the cache declines. The per-kernel stages are then
-  /// keyed on each sub-kernel's OWN content digest (the flow calls the
-  /// stage getters with the sub-kernel spec), which is what makes editing
-  /// one kernel re-run only that kernel.
+  /// "partitioned" flow's kernel split. The per-kernel stages are then keyed
+  /// on each sub-kernel's OWN spec (the flow calls the stage getters with
+  /// p.kernels[k].spec), which is what makes editing one kernel re-run only
+  /// that kernel.
   virtual std::shared_ptr<const KernelPartition> partition(const Dfg& spec,
-                                                           bool narrow) {
-    (void)spec;
-    (void)narrow;
-    return nullptr;
-  }
+                                                           bool narrow) = 0;
 
   /// The §3.2 critical time (chained bits) of the (optionally narrowed)
-  /// kernel of `spec` — prepare_transform(...).critical. The partitioned
-  /// flow consults this once per kernel to split the latency budget before
-  /// any per-kernel transform exists. The default recomputes from the
-  /// kernel getters; the ArtifactCache serves it from the memoized
-  /// latency-invariant TransformPrep.
-  virtual unsigned critical_time(const Dfg& spec, bool narrow) {
-    return prepare_transform(narrow ? *narrowed(spec) : kernel(spec)->kernel)
-        .critical;
-  }
+  /// kernel of `spec` — prepare_transform(...).critical. The partition
+  /// stage consults it once per kernel to split the latency budget before
+  /// any per-kernel transform exists.
+  virtual unsigned critical_time(const Dfg& spec, bool narrow) = 0;
 };
 
 } // namespace hls

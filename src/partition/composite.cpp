@@ -5,10 +5,8 @@
 #include <set>
 #include <utility>
 
-#include "alloc/bitlevel.hpp"
 #include "flow/session.hpp"
 #include "rtl/cycle_sim.hpp"
-#include "sched/core.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
@@ -35,41 +33,40 @@ std::optional<std::string> validate_budget_split(
       total_latency, split.composed_latency, bad.c_str());
 }
 
-CompositeSchedule compose_schedule(const Dfg& kernel_form, unsigned latency,
-                                   const std::string& scheduler,
-                                   const DelayModel& delay,
-                                   unsigned n_bits_override) {
+CompositeSchedule single_kernel_plan(unsigned latency) {
   CompositeSchedule cs;
-  cs.partition =
-      std::make_shared<const KernelPartition>(partition_kernel(kernel_form));
-  const KernelPartition& p = *cs.partition;
-  std::vector<TransformPrep> preps;
-  preps.reserve(p.kernels.size());
-  cs.criticals.reserve(p.kernels.size());
-  for (const PartitionKernel& pk : p.kernels) {
-    preps.push_back(prepare_transform(pk.spec));
-    cs.criticals.push_back(preps.back().critical);
+  cs.split = whole_budget(latency);
+  cs.runs.resize(1);
+  cs.runs[0].latency = latency;
+  return cs;
+}
+
+CompositeSchedule plan_composite(
+    StageCache& cache, std::shared_ptr<const KernelPartition> partition,
+    const Dfg& spec, bool narrow, unsigned latency, unsigned n_bits_override,
+    const DelayModel& delay) {
+  CompositeSchedule cs;
+  if (!partition || partition->single()) {
+    cs = single_kernel_plan(latency);
+    cs.criticals = {cache.critical_time(spec, narrow)};
+  } else {
+    const KernelPartition& p = *partition;
+    for (const PartitionKernel& k : p.kernels) {
+      cs.criticals.push_back(cache.critical_time(k.spec, false));
+    }
+    cs.split = split_latency_budget(p, cs.criticals, latency);
+    if (const std::optional<std::string> bad =
+            validate_budget_split(p, cs.criticals, cs.split, latency)) {
+      throw Error(*bad);
+    }
+    cs.runs.resize(p.kernels.size());
+    for (std::size_t k = 0; k < cs.runs.size(); ++k) {
+      cs.runs[k].latency = cs.split.latency[k];
+      cs.runs[k].start_cycle = cs.split.start_cycle[k];
+    }
   }
-  cs.split = split_latency_budget(p, cs.criticals, latency);
-  if (const std::optional<std::string> bad =
-          validate_budget_split(p, cs.criticals, cs.split, latency)) {
-    throw Error(*bad);
-  }
+  cs.partition = std::move(partition);
   cs.bound = price_partition(cs.criticals, cs.split, n_bits_override, delay);
-  cs.runs.reserve(p.kernels.size());
-  for (std::size_t k = 0; k < p.kernels.size(); ++k) {
-    KernelRun run;
-    run.latency = cs.split.latency[k];
-    run.n_bits = cs.bound.n_bits[k];
-    run.start_cycle = cs.split.start_cycle[k];
-    run.transform = std::make_shared<const TransformResult>(
-        transform_prepared(preps[k], run.latency, run.n_bits));
-    run.schedule = std::make_shared<const FragSchedule>(
-        run_scheduler(scheduler, *run.transform));
-    run.datapath = std::make_shared<const Datapath>(
-        allocate_bitlevel(*run.transform, *run.schedule));
-    cs.runs.push_back(std::move(run));
-  }
   return cs;
 }
 
@@ -97,7 +94,7 @@ Datapath merged_datapath(const CompositeSchedule& cs) {
     }
     out.control_signals += dp.control_signals;
   }
-  out.states = cs.bound.composed_latency;
+  out.states = cs.split.composed_latency;
   return out;
 }
 

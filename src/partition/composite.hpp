@@ -1,13 +1,15 @@
 #pragma once
-// CompositeSchedule — running every kernel of a KernelPartition through the
-// existing transform / SchedulerCore / bit-level allocation machinery and
-// composing the results under one shared latency constraint.
+// CompositeSchedule — every kernel of a KernelPartition run through the
+// transform / SchedulerCore / bit-level allocation stages and composed
+// under one shared latency constraint. The partitioned flow builds one
+// (flow/stages.hpp runs the per-kernel stages) and carries it on
+// FlowResult::composite for multi-kernel results.
 //
 // Each kernel gets its own slice of the latency budget
 // (split_latency_budget), its own §3.2 cycle budget (price_partition — the
-// same pricing the Explorer's bound pruning uses), and its own
-// TransformResult / FragSchedule / Datapath, exactly as if it were a
-// standalone specification. Composition is then pure bookkeeping:
+// same pricing the Explorer's bound pruning uses, through plan_composite),
+// and its own TransformResult / FragSchedule / Datapath, exactly as if it
+// were a standalone specification. Composition is then pure bookkeeping:
 //
 //   * the composed latency is the critical inter-kernel path in cycles
 //     (kernel k starts after its longest predecessor chain finishes);
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "alloc/datapath.hpp"
+#include "flow/stage_cache.hpp"
 #include "frag/transform.hpp"
 #include "ir/eval.hpp"
 #include "partition/partition.hpp"
@@ -40,8 +43,7 @@
 namespace hls {
 
 /// One kernel's trip through the per-kernel pipeline. Artefacts are shared
-/// pointers so cached runs (ArtifactCache) and uncached runs compose the
-/// same way.
+/// pointers handed out by the request's stage hook.
 struct KernelRun {
   std::shared_ptr<const TransformResult> transform;
   std::shared_ptr<const FragSchedule> schedule;
@@ -53,6 +55,7 @@ struct KernelRun {
 
 /// The composed result: partition + budget split + per-kernel runs.
 struct CompositeSchedule {
+  /// Null for the optimized flow's one kernel (no partition stage).
   std::shared_ptr<const KernelPartition> partition;
   std::vector<unsigned> criticals;  ///< per-kernel §3.2 critical times
   BudgetSplit split;
@@ -60,16 +63,24 @@ struct CompositeSchedule {
   std::vector<KernelRun> runs;
 };
 
-/// Runs the whole composition uncached: partition, split the budget (throws
-/// hls::Error with the aggregated all-infeasible-kernels message when the
-/// constraint cannot fit), then transform + schedule + allocate every
-/// kernel with the named strategy. Single-kernel specs take the identical
-/// calls transform_spec / run_scheduler / allocate_bitlevel make, so the
-/// run is bit-identical to the monolithic optimized pipeline.
-CompositeSchedule compose_schedule(const Dfg& kernel_form, unsigned latency,
-                                   const std::string& scheduler = "list",
-                                   const DelayModel& delay = {},
-                                   unsigned n_bits_override = 0);
+/// The plan of one kernel that gets the whole latency constraint: one run,
+/// starting at cycle 0. The optimized flow and a single-kernel partition
+/// run under it; criticals and bound stay empty (the transform resolves
+/// the budget).
+CompositeSchedule single_kernel_plan(unsigned latency);
+
+/// The partition stage's plan — budget split + price_partition — and the
+/// Explorer's §3.2 bound, so a pruned candidate is priced exactly as
+/// running it would be. Critical times come from `cache`: per sub-kernel
+/// (narrow = false) for a multi-kernel `partition`; for a single-kernel or
+/// null partition (the optimized flow), the one kernel of `spec` under
+/// `narrow`. Throws hls::Error with the aggregated all-infeasible-kernels
+/// message when the constraint cannot fit. Runs carry latency and start
+/// cycle; their artefacts are empty.
+CompositeSchedule plan_composite(
+    StageCache& cache, std::shared_ptr<const KernelPartition> partition,
+    const Dfg& spec, bool narrow, unsigned latency, unsigned n_bits_override,
+    const DelayModel& delay);
 
 /// Concatenates the per-kernel datapaths into one reporting instance list:
 /// FU binding cycles, register boundary spans and stored-run cycles are

@@ -6,123 +6,31 @@
 //   kernel -> [narrow] -> partition -> per-kernel {transform, schedule,
 //   allocate, [verify]} -> composed report
 //
-// The kernel/narrow stages are the optimized flow's, call for call. The
-// partition stage splits the kernel into maximal operative kernels
-// (partition/partition.hpp), divides the latency budget in proportion to
-// each kernel's §3.2 critical time and validates EVERY share through the
-// one shared validate_latency_range path — an infeasible constraint raises
-// one aggregated FlowStageError("partition") naming all offending kernels.
+// The kernel/narrow stages and the per-kernel pipeline are the optimized
+// flow's (flow/stages.hpp). The partition stage splits the kernel into
+// maximal operative kernels (partition/partition.hpp), divides the latency
+// budget in proportion to each kernel's §3.2 critical time and validates
+// EVERY share through the one shared validate_latency_range path — an
+// infeasible constraint raises one aggregated FlowStageError("partition")
+// naming all offending kernels.
 //
-// Single-kernel specifications short-circuit to the optimized flow's exact
-// tail, keyed on the request spec, so a shared StageCache serves the same
-// entries to both flows and the schedule/report/JSON stay bit-identical to
-// flows::optimized (only the flow label differs). Multi-kernel runs key
-// every per-kernel stage on the sub-kernel's OWN content digest: editing
-// one kernel re-runs only that kernel's column of the cache.
+// A single-kernel specification is the optimized flow's one job, keyed on
+// the request spec, so a shared StageCache serves the same entries to both
+// flows and the schedule/report/JSON stay bit-identical to flows::optimized
+// (only the flow label differs). Multi-kernel runs key every per-kernel
+// stage on the sub-kernel's OWN spec (narrow = false — the sub-specs were
+// cut from the already-narrowed kernel): editing one kernel re-runs only
+// that kernel's column of the cache.
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "alloc/bitlevel.hpp"
-#include "flow/session.hpp"
-#include "kernel/extract.hpp"
-#include "kernel/narrow.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "partition/composite.hpp"
-#include "sched/core.hpp"
-#include "sched/schedule.hpp"
-#include "support/failpoint.hpp"
+#include "flow/stages.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
-
-namespace {
-
-// The stage helpers below mirror flow/session.cpp's file-static ones (same
-// names, same behaviour) so the partitioned flow reports failures, timings
-// and failpoints exactly like the builtin flows it composes.
-
-void stage_failpoint(const char* name) {
-  if (!failpoints_armed()) return;
-  failpoint(("flow." + std::string(name)).c_str());
-}
-
-template <typename F>
-auto stage(const char* name, F&& f) {
-  try {
-    return std::forward<F>(f)();
-  } catch (const CancelledError&) {
-    throw;
-  } catch (const FlowStageError&) {
-    throw;
-  } catch (const Error& e) {
-    throw FlowStageError(name, e.what(), e.context());
-  }
-}
-
-template <typename F>
-auto timed_stage(FlowResult& out, const FlowRequest& req, const char* name,
-                 F&& f) {
-  req.cancel.poll();
-  stage_failpoint(name);
-  ScopedSpan span(name, "flow");
-  const bool metrics = metrics_armed();
-  if (!req.options.timing && !metrics) return stage(name, std::forward<F>(f));
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = stage(name, std::forward<F>(f));
-  const double ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  if (metrics) {
-    MetricsRegistry::global()
-        .histogram(std::string("flow.stage.") + name + ".ms")
-        .record(ms);
-  }
-  if (req.options.timing) {
-    out.timings.push_back({name, ms});
-    out.diagnostics.push_back(timing_note(name, ms));
-  }
-  return result;
-}
-
-void note(FlowResult& r, const char* stage_name, std::string message) {
-  r.diagnostics.push_back({DiagSeverity::Note, stage_name, std::move(message)});
-}
-
-Target resolve_target_stage(FlowResult& out, const FlowRequest& req) {
-  try {
-    Target t = resolve_target(req.target);
-    out.target = t.name;
-    note(out, "flow",
-         strformat("target '%s': %s adders, delta %.3g ns, overhead %.3g ns",
-                   t.name.c_str(), to_string(t.delay.style), t.delay.delta_ns,
-                   t.delay.sequential_overhead_ns));
-    return t;
-  } catch (const Error& e) {
-    throw FlowStageError("registry", e.what(), e.context());
-  }
-}
-
-/// Everything the partition stage resolves in one timed step: the kernel
-/// split, the per-kernel §3.2 criticals, the budget split and its price.
-/// Empty criticals/split for single() partitions (they take the optimized
-/// flow's exact tail instead).
-struct PartitionOutcome {
-  std::shared_ptr<const KernelPartition> partition;
-  /// Uncached runs keep the preps so transform_prepared skips re-prepping;
-  /// cached runs leave these empty (the cache memoizes the prep).
-  std::vector<std::shared_ptr<const TransformPrep>> preps;
-  std::vector<unsigned> criticals;
-  BudgetSplit split;
-  PartitionBound bound;
-};
-
-} // namespace
 
 namespace flows {
 
@@ -130,288 +38,47 @@ FlowResult partitioned(const FlowRequest& req) {
   FlowResult out;
   out.flow = "partitioned";
   const Target target = resolve_target_stage(out, req);
-  StageCache* const cache = req.cache.get();
-  KernelStats stats;
-  const bool already_kernel = is_kernel_form(req.spec);
-  Dfg kernel = timed_stage(out, req, "kernel", [&]() -> Dfg {
-    if (cache) {
-      const std::shared_ptr<const KernelArtifact> art = cache->kernel(req.spec);
-      stats = art->stats;
-      return art->kernel;
-    }
-    return already_kernel ? req.spec : extract_kernel(req.spec, &stats);
-  });
-  if (req.options.narrow) {
-    kernel = timed_stage(out, req, "narrow", [&]() -> Dfg {
-      return cache ? *cache->narrowed(req.spec) : narrow_widths(kernel);
-    });
-  }
-  if (already_kernel) {
-    note(out, "kernel", "specification already in kernel form");
-  } else {
-    note(out, "kernel",
-         strformat("%zu operations -> %zu unsigned additions",
-                   stats.ops_before, stats.adds_after));
-  }
-
-  const PartitionOutcome po =
-      timed_stage(out, req, "partition", [&]() -> PartitionOutcome {
-        PartitionOutcome o;
-        if (cache) o.partition = cache->partition(req.spec, req.options.narrow);
-        if (!o.partition) {
-          o.partition =
-              std::make_shared<const KernelPartition>(partition_kernel(kernel));
+  const StageHook hook(req);
+  StageCache& cache = hook.cache();
+  kernel_stages(out, req, cache);
+  auto cs = std::make_shared<CompositeSchedule>(
+      timed_stage(out, req, "partition", [&] {
+        std::shared_ptr<const KernelPartition> p =
+            cache.partition(req.spec, req.options.narrow);
+        if (!p->single()) {
+          return plan_composite(cache, std::move(p), req.spec,
+                                req.options.narrow, req.latency,
+                                req.n_bits_override, target.delay);
         }
-        const KernelPartition& p = *o.partition;
-        if (p.single()) return o;
-        const std::size_t n = p.kernels.size();
-        o.criticals.resize(n);
-        o.preps.resize(n);
-        for (std::size_t k = 0; k < n; ++k) {
-          if (cache) {
-            o.criticals[k] = cache->critical_time(p.kernels[k].spec, false);
-          } else {
-            o.preps[k] = std::make_shared<const TransformPrep>(
-                prepare_transform(p.kernels[k].spec));
-            o.criticals[k] = o.preps[k]->critical;
-          }
-        }
-        o.split = split_latency_budget(p, o.criticals, req.latency);
-        // ONE aggregated diagnostic for every infeasible kernel share —
-        // stage() tags it with this stage's name.
-        if (const std::optional<std::string> bad = validate_budget_split(
-                p, o.criticals, o.split, req.latency)) {
-          throw Error(*bad);
-        }
-        o.bound = price_partition(o.criticals, o.split, req.n_bits_override,
-                                  target.delay);
-        return o;
-      });
-  const KernelPartition& p = *po.partition;
+        CompositeSchedule one = single_kernel_plan(req.latency);
+        one.partition = std::move(p);
+        return one;
+      }));
+  const KernelPartition& p = *cs->partition;
   note(out, "partition",
        strformat("%zu operative kernel%s, %zu cut edge%s", p.kernels.size(),
                  p.kernels.size() == 1 ? "" : "s", p.cut_edges.size(),
                  p.cut_edges.size() == 1 ? "" : "s"));
-  out.scheduler = req.scheduler;
-
+  std::vector<const Dfg*> specs;
   if (p.single()) {
-    // The optimized flow's exact tail, keyed on the request spec: a shared
-    // StageCache serves both flows from the same entries, and the
-    // schedule/report stay bit-identical to flows::optimized.
-    out.transform =
-        timed_stage(out, req, "transform", [&]() -> TransformResult {
-          if (cache) {
-            return *cache->transform(req.spec, req.options.narrow, req.latency,
-                                     req.n_bits_override, target.delay,
-                                     req.cancel);
-          }
-          return transform_spec(kernel, req.latency, req.n_bits_override,
-                                target.delay);
-        });
-    note(out, "transform",
-         strformat("cycle budget %u chained bits%s", out.transform->n_bits,
-                   req.n_bits_override == 0 ? " (estimated)" : " (override)"));
-    OracleCounters counters;
-    out.schedule = timed_stage(out, req, "schedule", [&]() -> FragSchedule {
-      if (cache) {
-        return *cache->fragment_schedule(req.scheduler, req.spec,
-                                         req.options.narrow, req.latency,
-                                         req.n_bits_override, target.delay,
-                                         req.cancel);
-      }
-      SchedulerOptions opts;
-      opts.cancel = req.cancel;
-      if (req.options.timing || metrics_armed()) {
-        opts.counters = &counters;
-        FragSchedule fs = run_scheduler(req.scheduler, *out.transform, opts);
-        if (req.options.timing) out.counters = counters;
-        if (metrics_armed()) {
-          publish_oracle_counters(MetricsRegistry::global(), counters);
-        }
-        return fs;
-      }
-      return run_scheduler(req.scheduler, *out.transform, opts);
-    });
-    note(out, "schedule",
-         strformat("scheduler '%s' placed %zu fragments in %zu adder ops",
-                   req.scheduler.c_str(), out.transform->adds.size(),
-                   out.schedule->fu_ops.size()));
-    Datapath dp = timed_stage(out, req, "allocate", [&]() -> Datapath {
-      if (cache) {
-        return *cache->bitlevel_datapath(req.scheduler, req.spec,
-                                         req.options.narrow, req.latency,
-                                         req.n_bits_override, target.delay,
-                                         req.cancel);
-      }
-      return allocate_bitlevel(*out.transform, *out.schedule);
-    });
-    if (req.options.timing) {
-      timed_stage(out, req, "verify", [&] {
-        validate_schedule(out.transform->spec, out.schedule->schedule);
-        return 0;
-      });
-    }
-    ImplementationReport r;
-    r.flow = "partitioned";
-    r.target = target.name;
-    r.latency = req.latency;
-    r.cycle_deltas = target.delay.adder_depth(out.transform->n_bits);
-    r.cycle_ns = target.delay.cycle_ns(r.cycle_deltas);
-    r.execution_ns = target.delay.execution_ns(r.latency, r.cycle_deltas);
-    r.area = area_of(dp, target.gates);
-    r.datapath = std::move(dp);
-    r.op_count = out.transform->spec.operations().size();
-    out.report = std::move(r);
-    PartitionSummary ps;
-    ps.cut_edges = 0;
-    ps.composed_latency = req.latency;
-    ps.kernels.push_back({p.kernels[0].spec.name(), p.kernels[0].nodes.size(),
-                          p.kernels[0].add_count, out.transform->critical_time,
-                          req.latency, out.transform->n_bits, 0});
-    out.partition = std::move(ps);
-    out.kernel_stats = stats;
-    out.kernel = std::move(kernel);
-    out.ok = true;
-    return out;
+    specs.push_back(&req.spec);
+  } else {
+    for (const PartitionKernel& k : p.kernels) specs.push_back(&k.spec);
   }
-
-  // Multi-kernel composition: every per-kernel stage keyed on the
-  // sub-kernel's own digest (narrow = false — the sub-specs were cut from
-  // the already-narrowed kernel).
-  const std::size_t K = p.kernels.size();
-  CompositeSchedule cs;
-  cs.partition = po.partition;
-  cs.criticals = po.criticals;
-  cs.split = po.split;
-  cs.bound = po.bound;
-  cs.runs.resize(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    cs.runs[k].latency = cs.split.latency[k];
-    cs.runs[k].n_bits = cs.bound.n_bits[k];
-    cs.runs[k].start_cycle = cs.split.start_cycle[k];
-  }
-  timed_stage(out, req, "transform", [&] {
-    for (std::size_t k = 0; k < K; ++k) {
-      KernelRun& run = cs.runs[k];
-      if (cache) {
-        run.transform =
-            cache->transform(p.kernels[k].spec, false, run.latency,
-                             req.n_bits_override, target.delay, req.cancel);
-      } else {
-        run.transform = std::make_shared<const TransformResult>(
-            transform_prepared(*po.preps[k], run.latency, run.n_bits));
-      }
-    }
-    return 0;
-  });
-  {
-    std::string budgets;
-    for (std::size_t k = 0; k < K; ++k) {
-      if (!budgets.empty()) budgets += ", ";
-      budgets += strformat("%s %u+%u@%u", p.kernels[k].spec.name().c_str(),
-                           cs.runs[k].start_cycle, cs.runs[k].latency,
-                           cs.runs[k].n_bits);
-    }
-    note(out, "transform",
-         strformat("per-kernel start+latency@n_bits: %s", budgets.c_str()));
-  }
-  OracleCounters counters;
-  for (std::size_t k = 0; k < K; ++k) {
-    const std::string stage_name = "schedule.k" + std::to_string(k);
-    KernelRun& run = cs.runs[k];
-    run.schedule = timed_stage(
-        out, req, stage_name.c_str(),
-        [&]() -> std::shared_ptr<const FragSchedule> {
-          if (cache) {
-            return cache->fragment_schedule(req.scheduler, p.kernels[k].spec,
-                                            false, run.latency,
-                                            req.n_bits_override, target.delay,
-                                            req.cancel);
-          }
-          SchedulerOptions opts;
-          opts.cancel = req.cancel;
-          OracleCounters local;
-          if (req.options.timing || metrics_armed()) opts.counters = &local;
-          auto fs = std::make_shared<const FragSchedule>(
-              run_scheduler(req.scheduler, *run.transform, opts));
-          counters.candidates_evaluated += local.candidates_evaluated;
-          counters.candidates_probed += local.candidates_probed;
-          counters.candidates_rejected += local.candidates_rejected;
-          counters.candidates_committed += local.candidates_committed;
-          counters.words_repropagated += local.words_repropagated;
-          return fs;
-        });
-  }
-  if (req.options.timing && !cache) out.counters = counters;
-  if (metrics_armed() && !cache) {
-    publish_oracle_counters(MetricsRegistry::global(), counters);
-  }
-  {
-    std::size_t fragments = 0, fu_ops = 0;
-    for (const KernelRun& run : cs.runs) {
-      fragments += run.transform->adds.size();
-      fu_ops += run.schedule->fu_ops.size();
-    }
-    note(out, "schedule",
-         strformat("scheduler '%s' placed %zu fragments in %zu adder ops "
-                   "across %zu kernels",
-                   req.scheduler.c_str(), fragments, fu_ops, K));
-  }
-  timed_stage(out, req, "allocate", [&] {
-    for (std::size_t k = 0; k < K; ++k) {
-      KernelRun& run = cs.runs[k];
-      if (cache) {
-        run.datapath = cache->bitlevel_datapath(
-            req.scheduler, p.kernels[k].spec, false, run.latency,
-            req.n_bits_override, target.delay, req.cancel);
-      } else {
-        run.datapath = std::make_shared<const Datapath>(
-            allocate_bitlevel(*run.transform, *run.schedule));
-      }
-    }
-    return 0;
-  });
-  if (req.options.timing) {
-    timed_stage(out, req, "verify", [&] {
-      for (const KernelRun& run : cs.runs) {
-        validate_schedule(run.transform->spec, run.schedule->schedule);
-      }
-      return 0;
-    });
-  }
-
-  // Composed report: latency is the critical inter-kernel path, the clock
-  // the widest kernel window's delta depth, area the SUM of per-kernel
-  // areas (each kernel keeps its own controller — GateModel::controller is
-  // nonlinear, so pricing the merged datapath as one machine would be
-  // wrong), and the datapath the offset-merged composition for rendering.
-  ImplementationReport r;
-  r.flow = "partitioned";
-  r.target = target.name;
-  r.latency = cs.bound.composed_latency;
-  r.cycle_deltas = cs.bound.max_deltas;
-  r.cycle_ns = target.delay.cycle_ns(r.cycle_deltas);
-  r.execution_ns = target.delay.execution_ns(r.latency, r.cycle_deltas);
-  r.area = composed_area(cs, target.gates);
-  r.datapath = merged_datapath(cs);
-  std::size_t op_count = 0;
-  for (const KernelRun& run : cs.runs) {
-    op_count += run.transform->spec.operations().size();
-  }
-  r.op_count = op_count;
-  out.report = std::move(r);
+  run_kernels(out, req, hook, target, "partitioned", specs,
+              p.single() && req.options.narrow, *cs);
   PartitionSummary ps;
   ps.cut_edges = p.cut_edges.size();
-  ps.composed_latency = cs.bound.composed_latency;
-  for (std::size_t k = 0; k < K; ++k) {
+  ps.composed_latency = out.report.latency;
+  for (std::size_t k = 0; k < p.kernels.size(); ++k) {
+    const KernelRun& run = cs->runs[k];
     ps.kernels.push_back({p.kernels[k].spec.name(), p.kernels[k].nodes.size(),
-                          p.kernels[k].add_count, cs.criticals[k],
-                          cs.runs[k].latency, cs.runs[k].n_bits,
-                          cs.runs[k].start_cycle});
+                          p.kernels[k].add_count,
+                          run.transform->critical_time, run.latency,
+                          run.n_bits, run.start_cycle});
   }
   out.partition = std::move(ps);
-  out.kernel_stats = stats;
-  out.kernel = std::move(kernel);
+  if (!p.single()) out.composite = std::move(cs);
   out.ok = true;
   return out;
 }

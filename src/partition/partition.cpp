@@ -440,6 +440,10 @@ void verify_partition(const KernelPartition& p, const Dfg& parent) {
   }
 }
 
+BudgetSplit whole_budget(unsigned total_latency) {
+  return {{total_latency}, {total_latency}, {0}, total_latency};
+}
+
 BudgetSplit split_latency_budget(const KernelPartition& p,
                                  const std::vector<unsigned>& criticals,
                                  unsigned total_latency) {
@@ -447,14 +451,8 @@ BudgetSplit split_latency_budget(const KernelPartition& p,
   HLS_REQUIRE(criticals.size() == K,
               "one critical time per kernel is required");
   HLS_REQUIRE(total_latency >= 1, "latency must be >= 1");
+  if (K == 1) return whole_budget(total_latency);
   BudgetSplit s;
-  if (K == 1) {
-    s.latency = {total_latency};
-    s.raw = {total_latency};
-    s.start_cycle = {0};
-    s.composed_latency = total_latency;
-    return s;
-  }
   std::vector<std::vector<unsigned>> succ(K), pred(K);
   for (const auto& [a, b] : p.edges()) {
     succ[a].push_back(b);

@@ -115,6 +115,10 @@ struct BudgetSplit {
   unsigned composed_latency = 0;
 };
 
+/// The split of one kernel that gets the whole constraint: latency
+/// {total_latency}, starting at cycle 0.
+BudgetSplit whole_budget(unsigned total_latency);
+
 /// Splits `total_latency` cycles across the kernels in proportion to their
 /// §3.2 critical times (`criticals[k]`, chained bits, one per kernel):
 /// kernel k's share is floor(total * c_k / T_k) where T_k is the heaviest
@@ -123,7 +127,7 @@ struct BudgetSplit {
 /// leftover slack is redistributed deterministically (+1 to the most
 /// starved kernel whose critical path still fits) until the composed
 /// latency meets the constraint exactly or no kernel can grow. For a
-/// single-kernel partition the split is {total_latency} verbatim.
+/// single-kernel partition the split is whole_budget(total_latency).
 BudgetSplit split_latency_budget(const KernelPartition& p,
                                  const std::vector<unsigned>& criticals,
                                  unsigned total_latency);

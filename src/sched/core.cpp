@@ -218,54 +218,21 @@ SchedulerRegistry& SchedulerRegistry::global() {
   // user-registered strategies may live in static-storage objects.
   static SchedulerRegistry* r = [] {
     auto* reg = new SchedulerRegistry;
-    reg->register_scheduler(
-        "list", [](const TransformResult& t, const SchedulerOptions& o) {
-          return schedule_transformed(t, o);
-        });
-    reg->register_scheduler(
-        "forcedirected",
-        [](const TransformResult& t, const SchedulerOptions& o) {
-          return schedule_transformed_forcedirected(t, o);
-        });
+    reg->add("list", [](const TransformResult& t, const SchedulerOptions& o) {
+      return schedule_transformed(t, o);
+    });
+    reg->add("forcedirected",
+             [](const TransformResult& t, const SchedulerOptions& o) {
+               return schedule_transformed_forcedirected(t, o);
+             });
     return reg;
   }();
   return *r;
 }
 
-void SchedulerRegistry::register_scheduler(std::string name, SchedulerFn fn) {
-  HLS_REQUIRE(!name.empty(), "scheduler name must be non-empty");
-  HLS_REQUIRE(static_cast<bool>(fn), "scheduler function must be callable");
-  const std::lock_guard<std::mutex> lock(mu_);
-  schedulers_[std::move(name)] = std::move(fn);
-}
-
-bool SchedulerRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return schedulers_.count(name) != 0;
-}
-
-SchedulerFn SchedulerRegistry::find(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = schedulers_.find(name);
-  return it == schedulers_.end() ? SchedulerFn{} : it->second;
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(schedulers_.size());
-  for (const auto& [name, fn] : schedulers_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
-}
-
 FragSchedule run_scheduler(const std::string& name, const TransformResult& t,
                            const SchedulerOptions& options) {
-  const SchedulerFn fn = SchedulerRegistry::global().find(name);
-  if (!fn) {
-    throw Error("unknown scheduler '" + name + "' (registered: " +
-                join(SchedulerRegistry::global().names(), ", ") + ")");
-  }
-  return fn(t, options);
+  return SchedulerRegistry::global().resolve(name)(t, options);
 }
 
 } // namespace hls

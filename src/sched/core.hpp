@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "sched/fragsched.hpp"
 #include "sched/incremental.hpp"
 #include "support/cancel.hpp"
+#include "support/registry.hpp"
 
 namespace hls {
 
@@ -208,23 +208,12 @@ using SchedulerFn =
 
 /// String-keyed strategy registry ("list", "forcedirected" builtin).
 /// Thread-safe; registration replaces any previous strategy of the name.
-class SchedulerRegistry {
+class SchedulerRegistry : public NamedRegistry<SchedulerFn> {
 public:
-  SchedulerRegistry() = default;
+  SchedulerRegistry() : NamedRegistry("scheduler") {}
 
   /// The process-wide registry, with the builtin strategies pre-registered.
   static SchedulerRegistry& global();
-
-  void register_scheduler(std::string name, SchedulerFn fn);
-  bool contains(const std::string& name) const;
-  /// The registered strategy, or an empty function when the name is unknown.
-  SchedulerFn find(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-
-private:
-  mutable std::mutex mu_;
-  std::map<std::string, SchedulerFn> schedulers_;
 };
 
 /// Resolves `name` in the global registry and runs it over `t`. Throws

@@ -522,39 +522,23 @@ std::string Server::handle_line(const std::string& line) {
       check_members(req, {"kind", "id", "deadline_ms", "trace", "suite",
                           "spec", "flow", "lo", "hi", "scheduler", "targets",
                           "narrow"});
-      const Dfg spec = resolve_spec(req);
-      const std::string flow = opt_string(req, "flow", "optimized");
+      // Session::run_sweep with the process-wide cache attached to the
+      // template — that attachment is the whole point of serving, and the
+      // StageCache contract keeps the results bit-identical to the
+      // uncached sweep.
+      FlowRequest tmpl;
+      tmpl.spec = resolve_spec(req);
+      tmpl.flow = opt_string(req, "flow", "optimized");
       const unsigned lo = require_unsigned(req, "lo");
       const unsigned hi = require_unsigned(req, "hi");
-      const std::string scheduler = opt_string(req, "scheduler", "list");
+      tmpl.scheduler = opt_string(req, "scheduler", "list");
       const std::vector<std::string> targets =
-          opt_string_list(req, "targets", {kDefaultTargetName});
-      FlowOptions opts;
-      opts.narrow = opt_bool(req, "narrow", false);
-      std::vector<FlowResult> results;
-      // Mirror Session::run_sweep exactly (same validation, same request
-      // order), with the process-wide cache attached to every request —
-      // that attachment is the whole point of serving, and the StageCache
-      // contract keeps the results bit-identical to the uncached sweep.
-      if (const std::optional<FlowDiagnostic> bad =
-              validate_latency_range(lo, hi)) {
-        FlowResult out;
-        out.flow = flow;
-        out.scheduler = scheduler;
-        out.target = targets.front();
-        out.diagnostics.push_back(*bad);
-        results.push_back(std::move(out));
-      } else {
-        std::vector<FlowRequest> requests;
-        requests.reserve(targets.size() * (hi - lo + 1));
-        for (const std::string& target : targets) {
-          for (unsigned lat = lo; lat <= hi; ++lat) {
-            requests.push_back({spec, flow, lat, 0, opts, scheduler, target,
-                                req_cache, token});
-          }
-        }
-        results = session_.run_batch(requests);
-      }
+          opt_string_list(req, "targets", {});
+      tmpl.options.narrow = opt_bool(req, "narrow", false);
+      tmpl.cache = req_cache;
+      tmpl.cancel = token;
+      const std::vector<FlowResult> results =
+          session_.run_sweep(tmpl, lo, hi, targets);
       ok = std::all_of(results.begin(), results.end(),
                        [](const FlowResult& r) { return r.ok; });
       body_key = "result";

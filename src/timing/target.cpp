@@ -1,8 +1,5 @@
 #include "timing/target.hpp"
 
-#include "support/error.hpp"
-#include "support/strings.hpp"
-
 namespace hls {
 
 namespace {
@@ -57,40 +54,8 @@ TargetRegistry& TargetRegistry::global() {
   return *r;
 }
 
-void TargetRegistry::register_target(Target target) {
-  HLS_REQUIRE(!target.name.empty(), "target name must be non-empty");
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::string name = target.name;
-  targets_[std::move(name)] = std::move(target);
-}
-
-bool TargetRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return targets_.count(name) != 0;
-}
-
-std::optional<Target> TargetRegistry::find(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = targets_.find(name);
-  return it == targets_.end() ? std::nullopt
-                              : std::optional<Target>(it->second);
-}
-
-std::vector<std::string> TargetRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(targets_.size());
-  for (const auto& [name, target] : targets_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
-}
-
 Target resolve_target(const std::string& name) {
-  std::optional<Target> t = TargetRegistry::global().find(name);
-  if (!t) {
-    throw Error("unknown target '" + name + "' (registered: " +
-                join(TargetRegistry::global().names(), ", ") + ")");
-  }
-  return *std::move(t);
+  return TargetRegistry::global().resolve(name);
 }
 
 } // namespace hls

@@ -24,13 +24,10 @@
 //   t.name = "my-asic"; t.delay.delta_ns = 0.35;
 //   hls::TargetRegistry::global().register_target(t);
 
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "rtl/area.hpp"
+#include "support/registry.hpp"
 #include "timing/delay_model.hpp"
 
 namespace hls {
@@ -50,24 +47,18 @@ struct Target {
 /// String-keyed target registry ("paper-ripple", "cla", "fast-logic"
 /// builtin). Thread-safe; registration replaces any previous target of the
 /// same name.
-class TargetRegistry {
+class TargetRegistry : public NamedRegistry<Target> {
 public:
-  TargetRegistry() = default;
+  TargetRegistry() : NamedRegistry("target") {}
 
   /// The process-wide registry, with the builtin targets pre-registered.
   static TargetRegistry& global();
 
   /// Registers `target` under target.name (must be non-empty).
-  void register_target(Target target);
-  bool contains(const std::string& name) const;
-  /// The registered target, or nullopt when the name is unknown.
-  std::optional<Target> find(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-
-private:
-  mutable std::mutex mu_;
-  std::map<std::string, Target> targets_;
+  void register_target(Target target) {
+    std::string name = target.name;
+    add(std::move(name), std::move(target));
+  }
 };
 
 /// Resolves `name` in the global registry. Throws hls::Error listing the

@@ -85,10 +85,11 @@ TEST(Cancel, TokenOutlivesItsSource) {
 FlowRequest request_for(const Dfg& spec, unsigned latency,
                         const std::string& scheduler,
                         std::shared_ptr<ArtifactCache> cache,
-                        CancelToken token = {}) {
+                        CancelToken token = {},
+                        const std::string& flow = "optimized") {
   FlowRequest fr;
   fr.spec = spec;
-  fr.flow = "optimized";
+  fr.flow = flow;
   fr.latency = latency;
   fr.scheduler = scheduler;
   fr.cache = std::move(cache);
@@ -110,13 +111,14 @@ void check_cancel_at(const Session& session, const Dfg& spec, unsigned latency,
                      const std::string& scheduler, std::uint64_t index,
                      const std::string& clean_json,
                      const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-                         clean_keys) {
+                         clean_keys,
+                     const std::string& flow = "optimized") {
   SCOPED_TRACE("checkpoint index " + std::to_string(index));
   auto cache = std::make_shared<ArtifactCache>();
   CancelSource source;
   source.trip_after(index);
   const FlowResult aborted = session.run(
-      request_for(spec, latency, scheduler, cache, source.token()));
+      request_for(spec, latency, scheduler, cache, source.token(), flow));
   ASSERT_FALSE(aborted.ok);
   EXPECT_TRUE(has_cancelled_diagnostic(aborted));
   // No partial artefact: everything resident is a completed, pure stage
@@ -130,7 +132,7 @@ void check_cancel_at(const Session& session, const Dfg& spec, unsigned latency,
   }
   // Clean rerun on the same cache: bit-identical result, identical cache.
   const FlowResult rerun =
-      session.run(request_for(spec, latency, scheduler, cache));
+      session.run(request_for(spec, latency, scheduler, cache, {}, flow));
   EXPECT_EQ(to_json(rerun), clean_json);
   EXPECT_EQ(cache->resident_keys(), clean_keys);
 }
@@ -171,6 +173,71 @@ TEST(Cancel, CancellingAtEveryCheckpointLeavesNoTrace) {
       check_cancel_at(session, spec, latency, "list", index, clean_json,
                       clean_keys);
     }
+  }
+}
+
+Dfg suite_named(const std::string& name) {
+  for (const SuiteEntry& s : registry_suites()) {
+    if (s.name == name) return s.build();
+  }
+  ADD_FAILURE() << "no registry suite " << name;
+  return {};
+}
+
+TEST(Cancel, CancellingThePartitionedFlowAtEveryCheckpointLeavesNoTrace) {
+  // The same property over the partitioned flow's multi-kernel path:
+  // every checkpoint of a synth-2kernel run — the partition stage, each
+  // kernel's schedule.k<i> loop, the per-kernel transforms and datapaths —
+  // cancels cleanly.
+  const Session session;
+  const Dfg spec = suite_named("synth-2kernel");
+  const unsigned latency = 6;
+  auto clean_cache = std::make_shared<ArtifactCache>();
+  const FlowResult clean = session.run(
+      request_for(spec, latency, "list", clean_cache, {}, "partitioned"));
+  ASSERT_TRUE(clean.ok) << clean.error_text();
+  ASSERT_TRUE(clean.composite) << "synth-2kernel must split into kernels";
+  const std::string clean_json = to_json(clean);
+  const auto clean_keys = clean_cache->resident_keys();
+  CancelSource probe;
+  const FlowResult armed = session.run(
+      request_for(spec, latency, "list", std::make_shared<ArtifactCache>(),
+                  probe.token(), "partitioned"));
+  EXPECT_EQ(to_json(armed), clean_json);
+  const std::uint64_t total = probe.polls();
+  ASSERT_GT(total, 0u);
+  for (std::uint64_t index = 0; index < total; ++index) {
+    check_cancel_at(session, spec, latency, "list", index, clean_json,
+                    clean_keys, "partitioned");
+  }
+}
+
+TEST(Cancel, UncachedCancelledRunRerunsByteIdentically) {
+  // A request without a cache runs through its own per-request stage hook;
+  // cancelling it mid-run and rerunning must give the never-cancelled bytes.
+  const Session session;
+  for (const auto& [suite, flow] :
+       {std::pair<std::string, std::string>{"elliptic", "optimized"},
+        {"synth-2kernel", "partitioned"}}) {
+    SCOPED_TRACE(suite + "/" + flow);
+    const Dfg spec = suite_named(suite);
+    const FlowResult clean =
+        session.run(request_for(spec, 6, "forcedirected", nullptr, {}, flow));
+    ASSERT_TRUE(clean.ok) << clean.error_text();
+    const std::string clean_json = to_json(clean);
+    CancelSource probe;
+    session.run(
+        request_for(spec, 6, "forcedirected", nullptr, probe.token(), flow));
+    ASSERT_GT(probe.polls(), 1u);
+    CancelSource source;
+    source.trip_after(probe.polls() / 2);
+    const FlowResult aborted = session.run(
+        request_for(spec, 6, "forcedirected", nullptr, source.token(), flow));
+    ASSERT_FALSE(aborted.ok);
+    EXPECT_TRUE(has_cancelled_diagnostic(aborted));
+    EXPECT_EQ(to_json(session.run(request_for(spec, 6, "forcedirected",
+                                              nullptr, {}, flow))),
+              clean_json);
   }
 }
 

@@ -387,7 +387,7 @@ TEST(Explorer, RescuesPrunesWhoseDominatorFailed) {
   // it pruned must then be rescued and evaluated, not silently lost.
   // ("fussy" stays registered for the rest of this binary — registries
   // have no removal; no test here enumerates scheduler names.)
-  SchedulerRegistry::global().register_scheduler(
+  SchedulerRegistry::global().add(
       "fussy", [](const TransformResult& t, const SchedulerOptions& o) {
         // Refuses the first latency of every saturated plateau (where the
         // §3.2 bound of the next-larger latency ties on cycle): latency 6

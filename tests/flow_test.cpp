@@ -261,7 +261,7 @@ TEST(Flows, ForceDirectedSchedulerViaRequestKnob) {
 TEST(Flows, UserRegisteredSchedulerIsResolvedByName) {
   // A custom strategy registers next to the builtins and is picked up by
   // name, exactly like user flows in the FlowRegistry.
-  SchedulerRegistry::global().register_scheduler(
+  SchedulerRegistry::global().add(
       "asap-test", [](const TransformResult& t, const SchedulerOptions&) {
         SchedulerCore core(t);
         for (std::size_t done = 0; done < core.size(); ++done) {

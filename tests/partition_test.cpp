@@ -20,6 +20,7 @@
 #include "ir/eval.hpp"
 #include "kernel/extract.hpp"
 #include "partition/composite.hpp"
+#include "rtl/cycle_sim.hpp"
 #include "suites/suites.hpp"
 
 namespace hls {
@@ -201,55 +202,80 @@ TEST(Partition, ReportsAllInfeasibleKernelsAtOnce) {
 }
 
 TEST(Partition, ComposedSimulationMatchesEvaluatorAcrossSuites) {
-  // Functional equivalence of the composed datapath: for every registry
-  // suite (its kernel form) and both builtin strategies, the per-kernel
-  // datapaths chained through the boundary map compute exactly what the
-  // specification means. Suite latencies can be infeasible for the split
-  // (a composed path needs >= 1 cycle per kernel on it), so retry upward.
+  // Functional equivalence of what the partitioned flow itself returns: for
+  // every registry suite, both builtin strategies, cached and uncached, the
+  // result's composition (per-kernel datapaths chained through the boundary
+  // map) — or, for a single-kernel result, its one datapath — computes
+  // exactly what the specification means. Suite latencies can be
+  // infeasible for the split (a composed path needs >= 1 cycle per kernel
+  // on it), so retry upward.
   std::mt19937_64 rng(0x9E37);
+  const Session session;
+  std::size_t multi_kernel = 0;
   for (const SuiteEntry& s : registry_suites()) {
-    if (s.name == "synth-mesh8x8") continue;  // bench-only size, skip here
-    const Dfg kernel = kernel_form_of(s.build());
+    const Dfg spec = s.build();
     for (const char* scheduler : {"list", "forcedirected"}) {
-      CompositeSchedule cs;
-      unsigned lat = s.latencies.front();
-      for (;; ++lat) {
-        ASSERT_LE(lat, s.latencies.front() + 32u) << s.name;
-        try {
-          cs = compose_schedule(kernel, lat, scheduler);
-          break;
-        } catch (const Error&) {
-          continue;  // infeasible split at this latency; widen
+      for (const bool cached : {false, true}) {
+        FlowRequest req;
+        req.spec = spec;
+        req.flow = "partitioned";
+        req.scheduler = scheduler;
+        if (cached) req.cache = std::make_shared<ArtifactCache>();
+        FlowResult r;
+        for (req.latency = s.latencies.front();; ++req.latency) {
+          ASSERT_LE(req.latency, s.latencies.front() + 32u) << s.name;
+          r = session.run(req);
+          if (r.ok) break;  // else an infeasible split at this latency
         }
-      }
-      for (int trial = 0; trial < 10; ++trial) {
-        const InputValues in = random_inputs(kernel, rng);
-        EXPECT_EQ(simulate_composite(cs, in), evaluate(kernel, in))
-            << s.name << " lat " << lat << " " << scheduler;
+        ASSERT_TRUE(r.partition) << s.name;
+        const bool multi = r.partition->kernels.size() > 1;
+        ASSERT_EQ(multi, r.composite != nullptr) << s.name;
+        ASSERT_EQ(multi, !r.transform && !r.schedule) << s.name;
+        if (multi) ++multi_kernel;
+        for (int trial = 0; trial < 10; ++trial) {
+          const InputValues in = random_inputs(spec, rng);
+          const OutputValues got =
+              multi ? simulate_composite(*r.composite, in)
+                    : simulate_datapath(*r.transform, *r.schedule,
+                                        r.report.datapath, in);
+          EXPECT_EQ(got, evaluate(spec, in))
+              << s.name << " lat " << req.latency << " " << scheduler
+              << " cached=" << cached;
+        }
       }
     }
   }
+  EXPECT_GE(multi_kernel, 4u);  // the registry must keep multi-kernel specs
 }
 
 TEST(Partition, ComposedReportSumsAreaAndStaggersKernels) {
   const Dfg spec = synthetic_multi_kernel(2, 10, 10, 0x2BAD);
-  const FlowResult r = testutil::run_flow({spec, "partitioned", 4});
-  ASSERT_TRUE(r.partition);
-  ASSERT_EQ(r.partition->kernels.size(), 2u);
-  // Kernel 1 starts after kernel 0's slice; the composed critical path is
-  // what the report prices as latency.
-  EXPECT_EQ(r.partition->kernels[0].start_cycle, 0u);
-  EXPECT_EQ(r.partition->kernels[1].start_cycle,
-            r.partition->kernels[0].latency);
-  EXPECT_EQ(r.partition->composed_latency, r.report.latency);
-  EXPECT_LE(r.report.latency, 4u);
-  // Merged datapath spans the composed schedule.
-  EXPECT_EQ(r.report.datapath.states, r.partition->composed_latency);
-  // Area equals the sum over per-kernel datapaths (each with its own
-  // controller) — recompute through the public composition helpers.
-  CompositeSchedule cs = compose_schedule(spec, 4);
-  EXPECT_EQ(r.report.area.total(),
-            composed_area(cs, resolve_target(r.target).gates).total());
+  for (const bool cached : {false, true}) {
+    FlowRequest req{spec, "partitioned", 4};
+    if (cached) req.cache = std::make_shared<ArtifactCache>();
+    const FlowResult r = testutil::run_flow(req);
+    ASSERT_TRUE(r.partition);
+    ASSERT_EQ(r.partition->kernels.size(), 2u);
+    // Kernel 1 starts after kernel 0's slice; the composed critical path is
+    // what the report prices as latency.
+    EXPECT_EQ(r.partition->kernels[0].start_cycle, 0u);
+    EXPECT_EQ(r.partition->kernels[1].start_cycle,
+              r.partition->kernels[0].latency);
+    EXPECT_EQ(r.partition->composed_latency, r.report.latency);
+    EXPECT_LE(r.report.latency, 4u);
+    // Merged datapath spans the composed schedule.
+    EXPECT_EQ(r.report.datapath.states, r.partition->composed_latency);
+    // Area equals the sum over the flow's own per-kernel datapaths, each
+    // priced with its own controller.
+    ASSERT_TRUE(r.composite);
+    ASSERT_EQ(r.composite->runs.size(), 2u);
+    const GateModel gates = resolve_target(r.target).gates;
+    unsigned area = 0;
+    for (const KernelRun& run : r.composite->runs) {
+      area += area_of(*run.datapath, gates).total();
+    }
+    EXPECT_EQ(r.report.area.total(), area) << "cached=" << cached;
+  }
 }
 
 TEST(Partition, ExplorerPricesPartitionedAxis) {

@@ -99,7 +99,7 @@ TEST(Serve, SweepMatchesRunSweepIncludingFailureShape) {
       R"("targets":["paper-ripple","cla"]})"));
   ASSERT_TRUE(response_ok(resp));
   const std::vector<FlowResult> fresh = session.run_sweep(
-      fir2(), "optimized", 3, 6, {}, "list", {"paper-ripple", "cla"});
+      {fir2(), "optimized"}, 3, 6, {"paper-ripple", "cla"});
   EXPECT_EQ(write_json(*resp.find("result")), to_json(fresh));
   // An inverted range comes back as run_sweep's structured single result,
   // with the envelope's ok reflecting the failure.
@@ -107,8 +107,29 @@ TEST(Serve, SweepMatchesRunSweepIncludingFailureShape) {
       R"({"kind":"sweep","suite":"fir2","lo":6,"hi":3})"));
   EXPECT_FALSE(response_ok(bad));
   const std::vector<FlowResult> bad_fresh =
-      session.run_sweep(fir2(), "optimized", 6, 3);
+      session.run_sweep({fir2(), "optimized"}, 6, 3);
   EXPECT_EQ(write_json(*bad.find("result")), to_json(bad_fresh));
+}
+
+TEST(Serve, SweepWithEmptyTargetsIsRunSweepsResult) {
+  // "targets":[] means what an empty targets axis means to
+  // Session::run_sweep — the template's (default) target — on a valid range
+  // and on an inverted one alike; the daemon used to answer the first with
+  // an empty result list and crash on the second.
+  Server server;
+  const Session session;
+  const JsonValue inverted = parse_response(server.handle_line(
+      R"({"kind":"sweep","suite":"fir2","lo":5,"hi":3,"targets":[]})"));
+  EXPECT_FALSE(response_ok(inverted));
+  EXPECT_EQ(write_json(*inverted.find("result")),
+            to_json(session.run_sweep({fir2(), "optimized"}, 5, 3)));
+  const JsonValue valid = parse_response(server.handle_line(
+      R"({"kind":"sweep","suite":"fir2","lo":3,"hi":5,"targets":[]})"));
+  ASSERT_TRUE(response_ok(valid));
+  const std::vector<FlowResult> fresh =
+      session.run_sweep({fir2(), "optimized"}, 3, 5);
+  ASSERT_EQ(fresh.size(), 3u);
+  EXPECT_EQ(write_json(*valid.find("result")), to_json(fresh));
 }
 
 TEST(Serve, ExploreMatchesFreshExplorerModuloSharedCacheCounters) {

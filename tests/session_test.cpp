@@ -23,10 +23,10 @@ TEST(Registry, BuiltinFlowsAreRegistered) {
   FlowRegistry& reg = FlowRegistry::global();
   for (const char* name : {"conventional", "original", "blc", "optimized"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_TRUE(static_cast<bool>(reg.find(name))) << name;
+    EXPECT_TRUE(static_cast<bool>(reg.resolve(name))) << name;
   }
   EXPECT_FALSE(reg.contains("no-such-flow"));
-  EXPECT_FALSE(static_cast<bool>(reg.find("no-such-flow")));
+  EXPECT_THROW(reg.resolve("no-such-flow"), Error);
 }
 
 TEST(Registry, NamesAreSortedAndComplete) {
@@ -37,7 +37,7 @@ TEST(Registry, NamesAreSortedAndComplete) {
 
 TEST(Registry, UserFlowsRunThroughSession) {
   FlowRegistry reg;
-  reg.register_flow("constant", [](const FlowRequest& req) {
+  reg.add("constant", [](const FlowRequest& req) {
     FlowResult r;
     r.report.flow = "constant";
     r.report.latency = req.latency;
@@ -55,8 +55,8 @@ TEST(Registry, UserFlowsRunThroughSession) {
 
 TEST(Registry, RejectsEmptyNameAndEmptyFunction) {
   FlowRegistry reg;
-  EXPECT_THROW(reg.register_flow("", flows::conventional), Error);
-  EXPECT_THROW(reg.register_flow("x", FlowFn{}), Error);
+  EXPECT_THROW(reg.add("", flows::conventional), Error);
+  EXPECT_THROW(reg.add("x", FlowFn{}), Error);
 }
 
 // --- run(): results and diagnostics -----------------------------------------
@@ -203,7 +203,7 @@ TEST(SessionBatch, UsesMoreThanOneWorkerThread) {
   std::mutex mu;
   std::set<std::thread::id> seen;
   FlowRegistry reg;
-  reg.register_flow("probe", [&](const FlowRequest&) {
+  reg.add("probe", [&](const FlowRequest&) {
     {
       const std::lock_guard<std::mutex> lock(mu);
       seen.insert(std::this_thread::get_id());
@@ -250,7 +250,7 @@ TEST(SessionBatch, FailuresStayPositionalAndDoNotPoisonNeighbours) {
 TEST(SessionBatch, SweepConvenienceMatchesExplicitRequests) {
   const Session session;
   const std::vector<FlowResult> sweep =
-      session.run_sweep(fir2(), "optimized", 3, 6);
+      session.run_sweep({fir2(), "optimized"}, 3, 6);
   ASSERT_EQ(sweep.size(), 4u);
   for (unsigned i = 0; i < 4; ++i) {
     EXPECT_TRUE(sweep[i].ok);
@@ -267,7 +267,7 @@ TEST(SessionBatch, InvalidSweepRangeYieldsStructuredDiagnostic) {
   const Session session;
   for (const auto& [lo, hi] : {std::pair<unsigned, unsigned>{5, 4}, {0, 4}}) {
     const std::vector<FlowResult> rs =
-        session.run_sweep(fir2(), "optimized", lo, hi);
+        session.run_sweep({fir2(), "optimized"}, lo, hi);
     ASSERT_EQ(rs.size(), 1u) << lo << ".." << hi;
     EXPECT_FALSE(rs[0].ok);
     EXPECT_EQ(rs[0].flow, "optimized");
@@ -399,7 +399,7 @@ TEST(SessionBatch, TargetAxisSweepsNextToLatencies) {
   // result carrying its resolved target name.
   const Session session;
   const std::vector<FlowResult> rs =
-      session.run_sweep(fir2(), "optimized", 3, 5, {}, "list",
+      session.run_sweep({fir2(), "optimized"}, 3, 5,
                         {std::string(kDefaultTargetName), "cla"});
   ASSERT_EQ(rs.size(), 6u);
   for (unsigned i = 0; i < 6; ++i) {
@@ -413,7 +413,7 @@ TEST(SessionBatch, TargetAxisSweepsNextToLatencies) {
 
 TEST(SessionJson, ArrayOfResults) {
   const Session session;
-  const std::string j = to_json(session.run_sweep(fir2(), "optimized", 3, 4));
+  const std::string j = to_json(session.run_sweep({fir2(), "optimized"}, 3, 4));
   EXPECT_EQ(j.front(), '[');
   EXPECT_EQ(j.back(), ']');
   EXPECT_NE(j.find("},{"), std::string::npos);

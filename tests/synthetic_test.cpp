@@ -84,7 +84,7 @@ TEST(Synthetic, OptimizedFlowPreservesSemanticsOnStressKernels) {
 TEST(Synthetic, SweepsRunThroughTheSessionPool) {
   const Session session;
   const std::vector<FlowResult> sweep =
-      session.run_sweep(synthetic_chain(24, 12, 42), "optimized", 3, 8);
+      session.run_sweep({synthetic_chain(24, 12, 42), "optimized"}, 3, 8);
   ASSERT_EQ(sweep.size(), 6u);
   for (const FlowResult& r : sweep) {
     EXPECT_TRUE(r.ok) << r.error_text();

@@ -25,12 +25,11 @@ TEST(TargetRegistry, BuiltinTargetsAreRegistered) {
   TargetRegistry& reg = TargetRegistry::global();
   for (const char* name : {"paper-ripple", "cla", "fast-logic"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
-    ASSERT_TRUE(reg.find(name).has_value()) << name;
-    EXPECT_EQ(reg.find(name)->name, name);
-    EXPECT_FALSE(reg.find(name)->description.empty()) << name;
+    EXPECT_EQ(reg.resolve(name).name, name);
+    EXPECT_FALSE(reg.resolve(name).description.empty()) << name;
   }
   EXPECT_FALSE(reg.contains("no-such-target"));
-  EXPECT_FALSE(reg.find("no-such-target").has_value());
+  EXPECT_THROW(reg.resolve("no-such-target"), Error);
   EXPECT_TRUE(reg.contains(kDefaultTargetName));
 }
 
@@ -168,7 +167,7 @@ TEST(TargetFlows, UserRegisteredTargetResolvesInBatchAndSweep) {
   }
 
   const std::vector<FlowResult> sweep = session.run_sweep(
-      d, "optimized", 3, 6, {}, "list", {"batch-test-asic"});
+      {d, "optimized"}, 3, 6, {"batch-test-asic"});
   ASSERT_EQ(sweep.size(), 4u);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(to_json(sweep[i]), to_json(batch[i])) << i;

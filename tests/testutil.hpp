@@ -1,7 +1,7 @@
 #pragma once
 // Shared test plumbing: route one-shot flow requests through hls::Session
-// (the library's only flow API since the deprecated run_*_flow shims were
-// removed), throwing via require() so tests fail loudly on flow errors.
+// (the library's flow API), throwing via require() so tests fail loudly on
+// flow errors.
 
 #include "flow/session.hpp"
 
