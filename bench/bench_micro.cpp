@@ -10,7 +10,8 @@
 //   bench_micro --json [FILE]
 //     The tracked baseline suite: every synthetic kernel x {list,
 //     forcedirected} x {incremental, full-resim} oracle, each measurement
-//     the median of 3 repetitions (std::chrono, no google-benchmark
+//     the median of 3 repetitions (the cancel/trace overhead ratios: of 9
+//     interleaved pairs), timed with std::chrono (no google-benchmark
 //     dependency), emitted in the committed BENCH_micro.json schema
 //     (see PERFORMANCE.md). CI diffs a fresh run against the committed
 //     baseline and fails on >25% regression of any tracked speedup.
@@ -43,6 +44,7 @@
 //     The full exploratory google-benchmark suite (only when the build
 //     found google-benchmark; the --json mode always works).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -107,6 +109,26 @@ double median_of_3_ns(const std::string& scheduler, const TransformResult& t,
                  measure_ns(scheduler, t, options),
                  measure_ns(scheduler, t, options));
 }
+
+/// Medians of `reps` interleaved (armed, unarmed) measurement pairs, for
+/// the ~1.0 overhead ratios whose 5% tolerance is tighter than the drift
+/// between two back-to-back median-of-3 blocks on a shared machine:
+/// alternating the sides exposes both to the same drift, and the extra
+/// repetitions keep the schedules that the earliest-cycle pre-filter made
+/// short (~2-3 ms on synth-mesh8x8) above the noise.
+template <class ArmedFn, class UnarmedFn>
+std::pair<double, double> interleaved_medians(int reps, ArmedFn armed,
+                                              UnarmedFn unarmed) {
+  std::vector<double> a, u;
+  for (int r = 0; r < reps; ++r) {
+    a.push_back(armed());
+    u.push_back(unarmed());
+  }
+  std::sort(a.begin(), a.end());
+  std::sort(u.begin(), u.end());
+  return {a[a.size() / 2], u[u.size() / 2]};
+}
+constexpr int kOverheadReps = 9;
 
 // --- cached-sweep vs naive-sweep (dse/ ArtifactCache + Explorer) ----------
 
@@ -260,9 +282,10 @@ int run_json_baseline(const char* path) {
     CancelSource source;  // armed, never cancelled
     SchedulerOptions armed = incremental;
     armed.cancel = source.token();
-    const double armed_ns = median_of_3_ns("forcedirected", t, armed);
-    const double unarmed_ns =
-        median_of_3_ns("forcedirected", t, incremental);
+    const auto [armed_ns, unarmed_ns] = interleaved_medians(
+        kOverheadReps,
+        [&] { return measure_ns("forcedirected", t, armed); },
+        [&] { return measure_ns("forcedirected", t, incremental); });
     char row[512];
     std::snprintf(row, sizeof row,
                   "    {\"suite\": \"%s-cancel\", "
@@ -284,14 +307,14 @@ int run_json_baseline(const char* path) {
     if (s.name != "synth-mesh8x8") continue;
     std::fprintf(stderr, "bench %s/trace-overhead...\n", s.name.c_str());
     const TransformResult t = transform_spec(s.build(), s.latencies.front());
-    double armed_ns = 0;
-    {
-      TraceScope scope(true);
-      ScopedSpan root("bench", "bench");
-      armed_ns = median_of_3_ns("forcedirected", t, incremental);
-    }
-    const double disarmed_ns =
-        median_of_3_ns("forcedirected", t, incremental);
+    const auto [armed_ns, disarmed_ns] = interleaved_medians(
+        kOverheadReps,
+        [&] {
+          TraceScope scope(true);
+          ScopedSpan root("bench", "bench");
+          return measure_ns("forcedirected", t, incremental);
+        },
+        [&] { return measure_ns("forcedirected", t, incremental); });
     char row[512];
     std::snprintf(row, sizeof row,
                   "    {\"suite\": \"%s-trace\", "

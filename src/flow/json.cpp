@@ -128,6 +128,8 @@ std::string to_json(const FlowResult& r) {
     os << ",\"oracle\":{";
     os << "\"candidates_evaluated\":" << r.counters->candidates_evaluated
        << ",";
+    os << "\"candidates_filtered\":" << r.counters->candidates_filtered
+       << ",";
     os << "\"candidates_probed\":" << r.counters->candidates_probed << ",";
     os << "\"candidates_rejected\":" << r.counters->candidates_rejected << ",";
     os << "\"candidates_committed\":" << r.counters->candidates_committed

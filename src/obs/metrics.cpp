@@ -234,6 +234,7 @@ void publish_cache_stats(MetricsRegistry& reg, const CacheStats& stats) {
 void publish_oracle_counters(MetricsRegistry& reg,
                              const OracleCounters& counters) {
   reg.counter("oracle.candidates_evaluated").add(counters.candidates_evaluated);
+  reg.counter("oracle.candidates_filtered").add(counters.candidates_filtered);
   reg.counter("oracle.candidates_probed").add(counters.candidates_probed);
   reg.counter("oracle.candidates_rejected").add(counters.candidates_rejected);
   reg.counter("oracle.candidates_committed").add(counters.candidates_committed);

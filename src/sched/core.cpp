@@ -6,24 +6,6 @@
 
 namespace hls {
 
-namespace {
-
-/// Collects the Add nodes an operand depends on, walking through glue and
-/// concats (conservatively: every reachable add, not only the sliced bits).
-void collect_add_deps(const Dfg& dfg, const Operand& o,
-                      std::vector<std::uint32_t>& out) {
-  const Node& p = dfg.node(o.node);
-  if (p.kind == OpKind::Add) {
-    out.push_back(o.node.index);
-    return;
-  }
-  if (is_glue(p.kind) || p.kind == OpKind::Concat) {
-    for (const Operand& q : p.operands) collect_add_deps(dfg, q, out);
-  }
-}
-
-} // namespace
-
 SchedulerCore::SchedulerCore(const TransformResult& t, SchedulerOptions options)
     : t_(&t),
       options_(options),
@@ -36,30 +18,22 @@ SchedulerCore::SchedulerCore(const TransformResult& t, SchedulerOptions options)
   cycle_of_.assign(n, 0);
   prev_.assign(n, npos);
   next_.assign(n, npos);
-  producers_.resize(n);
 
-  std::map<std::uint32_t, std::size_t> last_of_orig;
-  std::map<std::uint32_t, std::size_t> add_index_of_node;
+  // Link each original op's fragments into its carry chain, in index order.
+  std::uint32_t max_orig = 0;
+  for (const TransformedAdd& a : t.adds) {
+    max_orig = std::max(max_orig, a.orig.index);
+  }
+  std::vector<std::size_t> last_of_orig(n == 0 ? 0 : max_orig + 1, npos);
   for (std::size_t k = 0; k < n; ++k) {
     lo_[k] = t.adds[k].asap;
     hi_[k] = t.adds[k].alap;
-    const auto it = last_of_orig.find(t.adds[k].orig.index);
-    if (it != last_of_orig.end()) {
-      prev_[k] = it->second;
-      next_[it->second] = k;
+    std::size_t& last = last_of_orig[t.adds[k].orig.index];
+    if (last != npos) {
+      prev_[k] = last;
+      next_[last] = k;
     }
-    last_of_orig[t.adds[k].orig.index] = k;
-    add_index_of_node[t.adds[k].node.index] = k;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    std::vector<std::uint32_t> producer_adds;
-    for (const Operand& o : t.spec.node(t.adds[k].node).operands) {
-      collect_add_deps(t.spec, o, producer_adds);
-    }
-    for (std::uint32_t p : producer_adds) {
-      const auto it = add_index_of_node.find(p);
-      if (it != add_index_of_node.end()) producers_[k].push_back(it->second);
-    }
+    last = k;
   }
 
   if (options_.feasibility == SchedulerOptions::Feasibility::Incremental) {
@@ -70,16 +44,22 @@ SchedulerCore::SchedulerCore(const TransformResult& t, SchedulerOptions options)
   }
 }
 
-void SchedulerCore::set_window_bounds(std::vector<unsigned> lo,
-                                      std::vector<unsigned> hi) {
-  HLS_REQUIRE(lo.size() == size() && hi.size() == size(),
-              "window bounds must cover every fragment");
-  for (std::size_t k = 0; k < lo.size(); ++k) {
-    HLS_REQUIRE(lo[k] <= hi[k] && hi[k] < t_->latency,
-                "window bounds must satisfy lo <= hi < latency");
+void SchedulerCore::tighten_chain(std::size_t k, unsigned c) {
+  HLS_REQUIRE(k < size() && lo_[k] <= c && c <= hi_[k],
+              "tighten_chain cycle must lie in the fragment's window");
+  for (std::size_t p = prev_[k]; p != npos; p = prev_[p]) {
+    HLS_REQUIRE(lo_[p] <= c, "tighten_chain would empty an earlier window");
   }
-  lo_ = std::move(lo);
-  hi_ = std::move(hi);
+  for (std::size_t s = next_[k]; s != npos; s = next_[s]) {
+    HLS_REQUIRE(c <= hi_[s], "tighten_chain would empty a later window");
+  }
+  lo_[k] = hi_[k] = c;
+  for (std::size_t p = prev_[k]; p != npos; p = prev_[p]) {
+    hi_[p] = std::min(hi_[p], c);
+  }
+  for (std::size_t s = next_[k]; s != npos; s = next_[s]) {
+    lo_[s] = std::max(lo_[s], c);
+  }
 }
 
 std::vector<double> SchedulerCore::distribution() const {

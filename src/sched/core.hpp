@@ -4,8 +4,8 @@
 //
 // The core/strategy split: SchedulerCore owns everything the paper's central
 // loop needs regardless of *how* placements are chosen — the mobility
-// windows of every fragment, the carry-chain and data-dependency structure,
-// the probability-weighted distribution graph, merged-row load bookkeeping,
+// windows of every fragment, the carry-chain structure, the
+// probability-weighted distribution graph, merged-row load bookkeeping,
 // the exact bit-slot feasibility oracle (incremental by default, full
 // re-simulation for baselines), and the final assembly + validation of a
 // FragSchedule. A strategy ("list", "forcedirected", or user-registered) is
@@ -43,6 +43,9 @@ namespace hls {
 /// --timing`, so the oracle's behaviour is visible outside the benches.
 struct OracleCounters {
   std::uint64_t candidates_evaluated = 0;  ///< force/feasibility evaluations
+  /// (fragment, cycle) pairs inside a fragment's chain-feasible window that
+  /// the earliest-cycle bound removed before force evaluation.
+  std::uint64_t candidates_filtered = 0;
   std::uint64_t candidates_probed = 0;     ///< oracle try_place attempts
   std::uint64_t candidates_rejected = 0;   ///< probes the oracle rejected
   std::uint64_t candidates_committed = 0;  ///< probes kept in the schedule
@@ -66,12 +69,15 @@ struct SchedulerOptions {
   /// Optional counter sink (non-owning; may be nullptr). Must outlive the
   /// scheduler run.
   OracleCounters* counters = nullptr;
-  /// Worker threads for force-directed candidate evaluation: 0 resolves to
-  /// the hardware concurrency, 1 forces the serial path, N uses N threads.
-  /// Schedules are bit-identical for every value — candidate forces are
-  /// pure per-candidate arithmetic and the reduction reproduces the serial
+  /// Worker threads for force-directed candidate evaluation: 1 (the
+  /// default) is the serial path, 0 resolves to the hardware concurrency,
+  /// N uses N threads. Serial is the default because the earliest-cycle
+  /// pre-filter leaves too few candidates per round for the spin-barrier
+  /// pool to pay for its hand-off on any registry kernel. Schedules are
+  /// bit-identical for every value — candidate forces are pure
+  /// per-candidate arithmetic and the reduction reproduces the serial
   /// (force, fragment, cycle) argmin exactly.
-  unsigned candidate_workers = 0;
+  unsigned candidate_workers = 1;
   /// Fragment-count floor below which the parallel path is skipped even
   /// when candidate_workers > 1 (thread hand-off costs more than tiny
   /// rounds; tests lower it to pin the parallel path on small suites).
@@ -99,23 +105,31 @@ public:
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   /// Carry-chain neighbours: the previous / next fragment of the same
-  /// original operation, or npos at the chain ends.
+  /// original operation, or npos at the chain ends. Chains link fragments
+  /// in index order, so prev_fragment(k) < k < next_fragment(k).
   std::size_t prev_fragment(std::size_t k) const { return prev_[k]; }
   std::size_t next_fragment(std::size_t k) const { return next_[k]; }
-  /// Fragments producing operand bits of fragment `k` (through glue and
-  /// concats, carry-in included) — the precedence a list scheduler obeys.
-  const std::vector<std::size_t>& producers(std::size_t k) const {
-    return producers_[k];
-  }
 
   // Mobility windows, initialized to every fragment's [asap, alap]. A
-  // strategy may tighten them (force-directed carry-chain implication);
-  // vectors are replaced wholesale so candidates can be evaluated on copies.
+  // strategy may tighten them (force-directed carry-chain implication)
+  // through tighten_chain, which clamps one chain in place: candidates are
+  // evaluated against the implied windows without materializing them.
   unsigned window_lo(std::size_t k) const { return lo_[k]; }
   unsigned window_hi(std::size_t k) const { return hi_[k]; }
-  const std::vector<unsigned>& lo_bounds() const { return lo_; }
-  const std::vector<unsigned>& hi_bounds() const { return hi_; }
-  void set_window_bounds(std::vector<unsigned> lo, std::vector<unsigned> hi);
+  /// Fixes fragment `k`'s window to [c, c] and applies the carry-chain
+  /// implication: every earlier fragment of its op ends by c, every later
+  /// one starts at c or later. Only `k`'s chain changes. Requires c inside
+  /// `k`'s window and every chain window to stay non-empty.
+  void tighten_chain(std::size_t k, unsigned c);
+
+  /// Earliest cycle fragment `k` could be placed in under the committed
+  /// placements (IncrementalBitSim::earliest_cycle): try_place(k, c)
+  /// rejects for every c below it, and for every c while it is
+  /// kUnassignedCycle (an operand bit is not scheduled yet). Always 0 under
+  /// Feasibility::FullResim, which stays the unfiltered baseline.
+  unsigned earliest_cycle(std::size_t k) const {
+    return engine_ ? engine_->earliest_cycle(t_->adds[k].node) : 0;
+  }
 
   bool placed(std::size_t k) const { return placed_[k]; }
   unsigned cycle_of(std::size_t k) const { return cycle_of_[k]; }
@@ -192,7 +206,6 @@ private:
   std::vector<bool> placed_;
   std::vector<unsigned> cycle_of_;
   std::vector<std::size_t> prev_, next_;
-  std::vector<std::vector<std::size_t>> producers_;
   std::vector<unsigned> load_;
   /// Placed fragments per original op: (bit range, cycle).
   std::map<std::uint32_t, std::vector<std::pair<BitRange, unsigned>>> by_orig_;

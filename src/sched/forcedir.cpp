@@ -17,33 +17,40 @@ namespace {
 // every earlier fragment of the op moves to <= c and every later one to
 // >= c. Candidate evaluation is the innermost loop of the scheduler, so
 // the implied windows are never materialized per candidate: feasibility and
-// force are computed straight from the chain (the winning candidate's
-// bounds are rebuilt once per commit in tighten_bounds). The arithmetic and
-// its order are exactly those of the historical vector-copying
-// implementation, keeping every schedule bit-identical.
+// force are computed straight from the chain, and the winner's chain is
+// clamped in place once per commit (SchedulerCore::tighten_chain). The
+// arithmetic and its order are exactly those of the historical
+// vector-copying implementation, keeping every schedule bit-identical.
 //
-// Selection works in three per-commit stages (the historical code walked
-// the carry chain per candidate and re-scanned every candidate after each
-// oracle rejection; both re-deriving work whose inputs had not changed):
+// A commit changes windows only on the committed fragment's carry chain,
+// so everything derived from windows is maintained per chain, not per
+// fragment. Each round works in four stages:
 //
-//   1. ChainAggregates: one O(n) pass folds each fragment's carry chain
-//      into integer prefix/suffix extrema. Chain feasibility becomes a
-//      two-compare window intersection, and "no force contribution fires
-//      anywhere" (force exactly +0.0, no FP op executed) becomes a
-//      four-compare test — both pure integer logic, so outcomes are
-//      bit-identical to walking the chain.
-//   2. The candidate scan evaluates every feasible (fragment, cycle) ONCE
-//      — serially or chunked across worker threads; each force is a pure
-//      function of (windows, dg), so the partition cannot change a bit.
+//   1. distribution(): the one full O(n) pass per commit. Its
+//      floating-point sum order feeds every force, so it stays a recompute
+//      in fragment order rather than an incremental update.
+//   2. The candidate scan over the eligible list (unplaced fragments whose
+//      carry producer is placed — kept ascending and updated per commit).
+//      ChainAggregates turn chain feasibility into a window intersection,
+//      and the oracle's earliest-cycle bound cuts the cycles below it: the
+//      oracle would reject every one of them on an operand word computed
+//      in a later cycle. Every surviving (fragment, cycle) is evaluated
+//      ONCE — serially or chunked across worker threads; each force is a
+//      pure function of (windows, dg), so the partition cannot change a
+//      bit.
 //   3. A min-heap keyed (force, fragment, cycle) replays the historical
 //      ban-and-rescan sequence: a rejected try_place changed none of the
 //      force inputs, so the next-best heap pop IS what the re-scan would
-//      have selected.
+//      have selected. The oracle rejects a filtered candidate whenever it
+//      is popped, so removing them leaves the first accepted one unchanged.
+//   4. The commit: tighten_chain clamps the winner's chain, ChainAggregates
+//      refolds that one chain, and the eligible list drops the winner and
+//      admits its carry successor.
 
-/// Integer chain extrema per fragment, rebuilt once per commit. "prev"
-/// aggregates fold the strict predecessor chain, "next" the strict
-/// successor chain; a fragment with no such neighbours gets the fold
-/// identity (0 / UINT_MAX).
+/// Integer chain extrema per fragment, folded once up front and then per
+/// committed chain. "prev" aggregates fold the strict predecessor chain,
+/// "next" the strict successor chain; a fragment with no such neighbours
+/// gets the fold identity (0 / UINT_MAX).
 struct ChainAggregates {
   std::vector<unsigned> max_prev_lo;
   std::vector<unsigned> max_prev_hi;
@@ -52,15 +59,15 @@ struct ChainAggregates {
   std::vector<unsigned char> prev_bad;  ///< a prev-chain window is empty
   std::vector<unsigned char> next_bad;  ///< a next-chain window is empty
   /// width_of(k) / |window(k)| — the exact value force_of's mass_old
-  /// division produces, computed once per commit instead of per candidate.
+  /// division produces, computed per window change instead of per
+  /// candidate.
   std::vector<double> mass_old;
 
+  /// Folds every chain.
   void compute(const SchedulerCore& core) {
     const std::size_t n = core.size();
     // resize, not assign: every fragment sits on exactly one chain, so the
-    // walks below overwrite every entry — pre-filling would add 7n stores
-    // per commit for nothing (it shows on the small suites, where commits
-    // are cheap and frequent relative to n).
+    // folds below overwrite every entry.
     max_prev_lo.resize(n);
     max_prev_hi.resize(n);
     min_next_hi.resize(n);
@@ -69,35 +76,48 @@ struct ChainAggregates {
     next_bad.resize(n);
     mass_old.resize(n);
     for (std::size_t h = 0; h < n; ++h) {
-      if (core.prev_fragment(h) != SchedulerCore::npos) continue;  // heads
-      unsigned run_lo = 0, run_hi = 0;
-      unsigned char run_bad = 0;
-      std::size_t tail = h;
-      for (std::size_t k = h; k != SchedulerCore::npos;
-           k = core.next_fragment(k)) {
-        max_prev_lo[k] = run_lo;
-        max_prev_hi[k] = run_hi;
-        prev_bad[k] = run_bad;
-        mass_old[k] = static_cast<double>(core.width_of(k)) /
-                      (core.window_hi(k) - core.window_lo(k) + 1);
-        run_lo = std::max(run_lo, core.window_lo(k));
-        run_hi = std::max(run_hi, core.window_hi(k));
-        run_bad |= static_cast<unsigned char>(core.window_lo(k) >
-                                              core.window_hi(k));
-        tail = k;
-      }
-      unsigned run_nhi = UINT_MAX, run_nlo = UINT_MAX;
-      unsigned char run_nbad = 0;
-      for (std::size_t k = tail; k != SchedulerCore::npos;
-           k = core.prev_fragment(k)) {
-        min_next_hi[k] = run_nhi;
-        min_next_lo[k] = run_nlo;
-        next_bad[k] = run_nbad;
-        run_nhi = std::min(run_nhi, core.window_hi(k));
-        run_nlo = std::min(run_nlo, core.window_lo(k));
-        run_nbad |= static_cast<unsigned char>(core.window_lo(k) >
-                                               core.window_hi(k));
-      }
+      if (core.prev_fragment(h) == SchedulerCore::npos) fold(core, h);
+    }
+  }
+
+  /// Refolds the chain through `k` — after a commit at `k`, the only
+  /// windows that changed.
+  void refold_chain(const SchedulerCore& core, std::size_t k) {
+    while (core.prev_fragment(k) != SchedulerCore::npos) {
+      k = core.prev_fragment(k);
+    }
+    fold(core, k);
+  }
+
+private:
+  void fold(const SchedulerCore& core, std::size_t head) {
+    unsigned run_lo = 0, run_hi = 0;
+    unsigned char run_bad = 0;
+    std::size_t tail = head;
+    for (std::size_t k = head; k != SchedulerCore::npos;
+         k = core.next_fragment(k)) {
+      max_prev_lo[k] = run_lo;
+      max_prev_hi[k] = run_hi;
+      prev_bad[k] = run_bad;
+      mass_old[k] = static_cast<double>(core.width_of(k)) /
+                    (core.window_hi(k) - core.window_lo(k) + 1);
+      run_lo = std::max(run_lo, core.window_lo(k));
+      run_hi = std::max(run_hi, core.window_hi(k));
+      run_bad |= static_cast<unsigned char>(core.window_lo(k) >
+                                            core.window_hi(k));
+      tail = k;
+    }
+    unsigned run_nhi = UINT_MAX, run_nlo = UINT_MAX;
+    unsigned char run_nbad = 0;
+    for (std::size_t k = tail; k != SchedulerCore::npos;
+         k = core.prev_fragment(k)) {
+      min_next_hi[k] = run_nhi;
+      min_next_lo[k] = run_nlo;
+      next_bad[k] = run_nbad;
+      run_nhi = std::min(run_nhi, core.window_hi(k));
+      run_nlo = std::min(run_nlo, core.window_lo(k));
+      run_nbad |= static_cast<unsigned char>(core.window_lo(k) >
+                                             core.window_hi(k));
     }
   }
 };
@@ -166,14 +186,22 @@ inline bool heap_later(const Candidate& a, const Candidate& b) {
   return a.force > b.force || (a.force == b.force && a.kc > b.kc);
 }
 
+/// One scan chunk's output: the evaluated candidates, and the
+/// chain-feasible (fragment, cycle) pairs the earliest-cycle bound removed.
+struct ScanChunk {
+  std::vector<Candidate> cands;
+  std::uint64_t filtered = 0;
+};
+
 /// Evaluates every feasible candidate of `eligible[begin, end)` into `out`
-/// (read-only against core/dg/agg — safe to run concurrently on disjoint
-/// ranges).
+/// (read-only against core/dg/agg and the oracle — safe to run concurrently
+/// on disjoint ranges).
 void scan_range(const SchedulerCore& core, const double* dg,
                 const ChainAggregates& agg,
                 const std::vector<std::size_t>& eligible, std::size_t begin,
-                std::size_t end, std::vector<Candidate>& out) {
-  out.clear();
+                std::size_t end, ScanChunk& out) {
+  out.cands.clear();
+  out.filtered = 0;
   for (std::size_t i = begin; i < end; ++i) {
     const std::size_t k = eligible[i];
     if (agg.prev_bad[k] || agg.next_bad[k]) continue;
@@ -182,7 +210,16 @@ void scan_range(const SchedulerCore& core, const double* dg,
     // next window reaches >= c" is this window intersection.
     const unsigned cmin = std::max(klo, agg.max_prev_lo[k]);
     const unsigned cmax = std::min(khi, agg.min_next_hi[k]);
-    for (unsigned c = cmin; c <= cmax && c >= cmin; ++c) {
+    if (cmin > cmax) continue;
+    // The oracle rejects every cycle below its earliest-cycle bound
+    // (kUnassignedCycle: every cycle), so those never enter the heap.
+    const unsigned first = std::max(cmin, core.earliest_cycle(k));
+    if (first > cmax) {
+      out.filtered += cmax - cmin + 1;
+      continue;
+    }
+    out.filtered += first - cmin;
+    for (unsigned c = first; c <= cmax && c >= first; ++c) {
       double f;
       if (klo == c && khi == c && agg.max_prev_hi[k] <= c &&
           agg.min_next_lo[k] >= c) {
@@ -192,20 +229,21 @@ void scan_range(const SchedulerCore& core, const double* dg,
       } else {
         f = force_of(core, dg, k, c, agg);
       }
-      out.push_back({f, pack_kc(k, c)});
+      out.cands.push_back({f, pack_kc(k, c)});
     }
   }
 }
 
-/// Spin-barrier worker pool for speculative candidate evaluation: workers
-/// wait on a generation counter, evaluate their chunk of the eligible list
-/// into a per-worker buffer, and signal completion; the calling thread
-/// evaluates chunk 0 in the meantime and then merges. Probes stay
-/// read-only; the winning candidate is committed serially by the caller, so
-/// schedules are bit-identical for every worker count and chunking (the
-/// heap's (force, kc) order is a total order independent of insertion
-/// order). Spin+yield instead of a condvar: a mesh-sized schedule crosses
-/// this barrier ~1200 times, and wake-up latency would dominate.
+/// Spin-barrier worker pool for speculative candidate evaluation (opt-in:
+/// SchedulerOptions::candidate_workers != 1): workers wait on a generation
+/// counter, evaluate their chunk of the eligible list into a per-worker
+/// buffer, and signal completion; the calling thread evaluates chunk 0 in
+/// the meantime and then merges. Scans only read the oracle; the winning
+/// candidate is committed serially by the caller, so schedules are
+/// bit-identical for every worker count and chunking (the heap's
+/// (force, kc) order is a total order independent of insertion order).
+/// Spin+yield instead of a condvar: a mesh-sized schedule crosses this
+/// barrier ~1200 times, and wake-up latency would dominate.
 class CandidateWorkers {
 public:
   CandidateWorkers(const SchedulerCore& core, unsigned workers)
@@ -231,7 +269,7 @@ public:
 
   /// Scans `eligible` across all workers and returns the per-worker result
   /// buffers (chunk w of the round-robin-balanced split in results()[w]).
-  const std::vector<std::vector<Candidate>>& scan(
+  const std::vector<ScanChunk>& scan(
       const double* dg, const ChainAggregates& agg,
       const std::vector<std::size_t>& eligible) {
     dg_ = dg;
@@ -274,7 +312,7 @@ private:
 
   const SchedulerCore& core_;
   std::vector<std::thread> threads_;
-  std::vector<std::vector<Candidate>> results_;
+  std::vector<ScanChunk> results_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<unsigned> done_{0};
   std::atomic<bool> stop_{false};
@@ -299,9 +337,14 @@ FragSchedule schedule_transformed_forcedirected(const TransformResult& t,
   const std::size_t n = core.size();
 
   ChainAggregates agg;
+  agg.compute(core);
+  // Eligible: unplaced, with the carry producer placed (the feasibility
+  // oracle needs it first). Ascending; at the start, the chain heads.
   std::vector<std::size_t> eligible;
-  eligible.reserve(n);
-  std::vector<Candidate> cands;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (core.prev_fragment(k) == SchedulerCore::npos) eligible.push_back(k);
+  }
+  ScanChunk scanned;  // this round's candidates
   const unsigned n_workers = resolve_workers(options, n);
   std::optional<CandidateWorkers> pool;
   if (n_workers > 1) pool.emplace(core, n_workers);
@@ -310,29 +353,21 @@ FragSchedule schedule_transformed_forcedirected(const TransformResult& t,
   for (std::size_t committed = 0; committed < n; ++committed) {
     cancel.tick();
     const std::vector<double> dg = core.distribution();
-    agg.compute(core);
-    eligible.clear();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (core.placed(k)) continue;
-      // The feasibility oracle needs carry producers placed first.
-      if (core.prev_fragment(k) != SchedulerCore::npos &&
-          !core.placed(core.prev_fragment(k))) {
-        continue;
-      }
-      eligible.push_back(k);
-    }
 
-    cands.clear();
+    std::vector<Candidate>& cands = scanned.cands;
     if (pool) {
-      for (const std::vector<Candidate>& part :
-           pool->scan(dg.data(), agg, eligible)) {
-        cands.insert(cands.end(), part.begin(), part.end());
+      cands.clear();
+      scanned.filtered = 0;
+      for (const ScanChunk& part : pool->scan(dg.data(), agg, eligible)) {
+        cands.insert(cands.end(), part.cands.begin(), part.cands.end());
+        scanned.filtered += part.filtered;
       }
     } else {
-      scan_range(core, dg.data(), agg, eligible, 0, eligible.size(), cands);
+      scan_range(core, dg.data(), agg, eligible, 0, eligible.size(), scanned);
     }
     if (options.counters) {
       options.counters->candidates_evaluated += cands.size();
+      options.counters->candidates_filtered += scanned.filtered;
     }
 
     // Try candidates in ascending (force, fragment, cycle) until the exact
@@ -348,20 +383,21 @@ FragSchedule schedule_transformed_forcedirected(const TransformResult& t,
       const unsigned best_c = static_cast<unsigned>(best.kc & 0xFFFFFFFFu);
       if (!core.try_place(best_k, best_c)) continue;
 
-      // Materialize the committed placement's implied windows — once per
-      // commit, not per candidate.
-      std::vector<unsigned> lo2 = core.lo_bounds();
-      std::vector<unsigned> hi2 = core.hi_bounds();
-      lo2[best_k] = hi2[best_k] = best_c;
-      for (std::size_t p = core.prev_fragment(best_k);
-           p != SchedulerCore::npos; p = core.prev_fragment(p)) {
-        hi2[p] = std::min(hi2[p], best_c);
+      // Only the committed chain's windows change: clamp and refold it,
+      // then drop the winner from the eligible list and admit its carry
+      // successor (which sorts after it), keeping the list ascending.
+      core.tighten_chain(best_k, best_c);
+      agg.refold_chain(core, best_k);
+      const auto at =
+          std::lower_bound(eligible.begin(), eligible.end(), best_k);
+      const std::size_t next = core.next_fragment(best_k);
+      if (next == SchedulerCore::npos) {
+        eligible.erase(at);
+      } else {
+        const auto to = std::lower_bound(at + 1, eligible.end(), next);
+        std::move(at + 1, to, at);
+        *(to - 1) = next;
       }
-      for (std::size_t s = core.next_fragment(best_k);
-           s != SchedulerCore::npos; s = core.next_fragment(s)) {
-        lo2[s] = std::max(lo2[s], best_c);
-      }
-      core.set_window_bounds(std::move(lo2), std::move(hi2));
       placed_one = true;
       break;
     }

@@ -11,6 +11,47 @@ namespace hls {
 
 namespace {
 
+/// Collects the Add nodes an operand depends on, walking through glue and
+/// concats (conservatively: every reachable add, not only the sliced bits).
+void collect_add_deps(const Dfg& dfg, const Operand& o,
+                      std::vector<std::uint32_t>& out) {
+  const Node& p = dfg.node(o.node);
+  if (p.kind == OpKind::Add) {
+    out.push_back(o.node.index);
+    return;
+  }
+  if (is_glue(p.kind) || p.kind == OpKind::Concat) {
+    for (const Operand& q : p.operands) collect_add_deps(dfg, q, out);
+  }
+}
+
+/// Per fragment, the fragments producing its operand bits (through glue
+/// and concats, carry-in included) — the precedence the list scheduler
+/// obeys.
+std::vector<std::vector<std::size_t>> fragment_producers(
+    const TransformResult& t) {
+  const std::size_t n = t.adds.size();
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> add_index_of_node(t.spec.size(), kNone);
+  for (std::size_t k = 0; k < n; ++k) {
+    add_index_of_node[t.adds[k].node.index] = k;
+  }
+  std::vector<std::vector<std::size_t>> producers(n);
+  std::vector<std::uint32_t> producer_adds;
+  for (std::size_t k = 0; k < n; ++k) {
+    producer_adds.clear();
+    for (const Operand& o : t.spec.node(t.adds[k].node).operands) {
+      collect_add_deps(t.spec, o, producer_adds);
+    }
+    for (std::uint32_t p : producer_adds) {
+      if (add_index_of_node[p] != kNone) {
+        producers[k].push_back(add_index_of_node[p]);
+      }
+    }
+  }
+  return producers;
+}
+
 /// Places every transformed Add in a cycle of its window. When `balance` is
 /// set, fragments are placed in list-scheduling order (fixed fragments
 /// first, then by increasing mobility) into the cycle minimizing
@@ -23,15 +64,17 @@ namespace {
 /// (mobility, asap, index) — the same fragment order the historical
 /// all-fragments rescan produced, without the O(n^2) sweep. Placements in
 /// this loop are never undone, so a fragment becomes ready exactly once.
-bool place(SchedulerCore& core, bool balance) {
+bool place(SchedulerCore& core,
+           const std::vector<std::vector<std::size_t>>& producers,
+           bool balance) {
   const TransformResult& t = core.transform();
   const std::size_t n = core.size();
 
   std::vector<std::size_t> pending(n, 0);
   std::vector<std::vector<std::size_t>> dependents(n);
   for (std::size_t k = 0; k < n; ++k) {
-    pending[k] = core.producers(k).size();
-    for (std::size_t d : core.producers(k)) dependents[d].push_back(k);
+    pending[k] = producers[k].size();
+    for (std::size_t d : producers[k]) dependents[d].push_back(k);
   }
 
   using Key = std::tuple<unsigned, unsigned, std::size_t>;
@@ -99,10 +142,11 @@ bool FragSchedule::has_unconsecutive_execution() const {
 
 FragSchedule schedule_transformed(const TransformResult& t,
                                   const SchedulerOptions& options) {
+  const std::vector<std::vector<std::size_t>> producers = fragment_producers(t);
   SchedulerCore balanced(t, options);
-  if (place(balanced, /*balance=*/true)) return balanced.finish();
+  if (place(balanced, producers, /*balance=*/true)) return balanced.finish();
   SchedulerCore asap(t, options);
-  place(asap, /*balance=*/false);
+  place(asap, producers, /*balance=*/false);
   return asap.finish();
 }
 

@@ -179,6 +179,23 @@ bool IncrementalBitSim::try_place(NodeId add, unsigned cycle) {
   return true;
 }
 
+unsigned IncrementalBitSim::earliest_cycle(NodeId add) const {
+  const Node& n = dfg_->node(add);
+  PackedAvail latest = kPackedStartOfTime;
+  auto fold = [&](const Operand& o, unsigned bits) {
+    const PackedAvail* w =
+        avail_.data() + index_->bit_offset(o.node.index) + o.bits.lo;
+    for (unsigned b = 0; b < std::min(bits, o.bits.width); ++b) {
+      latest = std::max(latest, w[b]);
+    }
+  };
+  fold(n.operands[0], n.width);
+  fold(n.operands[1], n.width);
+  if (n.has_carry_in()) fold(n.operands[2], std::min(n.width, 1u));
+  // The unavailable sentinel packs to cycle kUnassignedCycle.
+  return packed_cycle(latest);
+}
+
 void IncrementalBitSim::undo() {
   HLS_REQUIRE(!frames_.empty(), "undo without a matching try_place");
   const Frame frame = frames_.back();

@@ -71,6 +71,14 @@ public:
   /// Undoes the most recent successful try_place (LIFO).
   void undo();
 
+  /// Exact lower bound on the cycles try_place(add, c) can accept: the
+  /// latest packed cycle among the words recompute() reads for `add` —
+  /// operands 0 and 1 over min(width, slice width) bits, plus carry-in
+  /// bit 0 — or kUnassignedCycle while any of them is still unavailable.
+  /// For every c below it, one of those words is >= pack_avail(c + 1, 0),
+  /// so the Add's reject compare fires. O(operand bits), read-only.
+  unsigned earliest_cycle(NodeId add) const;
+
   /// Number of placements currently committed (the undo stack depth).
   std::size_t depth() const { return frames_.size(); }
 

@@ -103,6 +103,42 @@ TEST(ForceDirected, ParallelCandidateEvaluationIsBitIdentical) {
   }
 }
 
+TEST(ForceDirected, ProbesOnlyCandidatesTheOracleCanAccept) {
+  // The earliest-cycle pre-filter keeps out of the heap every candidate the
+  // oracle would reject for an operand computed too late, so nearly every
+  // probe commits; only over-budget rejections remain. Counters are
+  // deterministic, so this is a regression test, not a timing test.
+  auto counters_of = [](const TransformResult& t) {
+    OracleCounters c;
+    SchedulerOptions options;
+    options.cross_check = false;
+    options.candidate_workers = 1;
+    options.counters = &c;
+    (void)schedule_transformed_forcedirected(t, options);
+    return c;
+  };
+  for (const SuiteEntry& s : registry_suites()) {
+    const Dfg built = s.build();
+    const Dfg kernel = is_kernel_form(built) ? built : extract_kernel(built);
+    for (unsigned lat : s.latencies) {
+      const TransformResult t = transform_spec(kernel, lat);
+      const OracleCounters c = counters_of(t);
+      EXPECT_EQ(c.candidates_committed, t.adds.size())
+          << s.name << " lat " << lat;
+      // Without the filter: up to 90 probes per commit (ar_lattice, L=8).
+      EXPECT_LE(c.candidates_probed * 2, c.candidates_committed * 5)
+          << s.name << " lat " << lat << ": " << c.candidates_probed
+          << " probes for " << c.candidates_committed << " commits";
+      // The mesh kernels lose every rejection (8,873 at synth-mesh8x8 L=8
+      // and 4,149 at synth-mesh6x6 L=6 without the filter).
+      if ((s.name == "synth-mesh8x8" && lat == 8) ||
+          (s.name == "synth-mesh6x6" && lat == 6)) {
+        EXPECT_EQ(c.candidates_rejected, 0u) << s.name << " lat " << lat;
+      }
+    }
+  }
+}
+
 TEST(ForceDirected, ComparableResourceQuality) {
   // Force-directed should never need dramatically more adder bits per cycle
   // than the list scheduler (usually equal or better balance).

@@ -84,6 +84,87 @@ TEST(IncrementalBitSim, MatchesFullSimulatorOnEveryRegistrySuite) {
   }
 }
 
+/// At the engine's current state: every unplaced Add must be rejected at
+/// every cycle below its earliest_cycle (every cycle while the bound is
+/// kUnassignedCycle), and each rejection must leave the state untouched.
+void expect_bound_is_sound(const TransformResult& t, IncrementalBitSim& sim,
+                           const std::string& what) {
+  const std::vector<PackedAvail> avail = sim.avail();
+  const BitCycles assign = sim.assignment();
+  const unsigned max_slot = sim.max_slot();
+  for (const TransformedAdd& a : t.adds) {
+    if (assign[a.node.index][0] != kUnassignedCycle) continue;
+    const unsigned bound = std::min(sim.earliest_cycle(a.node), t.latency);
+    for (unsigned c = 0; c < bound; ++c) {
+      ASSERT_FALSE(sim.try_place(a.node, c))
+          << what << ": node " << a.node.index << " accepted at cycle " << c
+          << " below its earliest cycle " << sim.earliest_cycle(a.node);
+      ASSERT_EQ(max_slot, sim.max_slot()) << what << " rejected leak";
+      ASSERT_TRUE(avail == sim.avail()) << what << " rejected leak";
+      ASSERT_TRUE(assign == sim.assignment()) << what << " rejected leak";
+    }
+  }
+}
+
+void run_bound_property(unsigned budget_divisor, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (const SuiteEntry& s : registry_suites()) {
+    const Dfg built = s.build();
+    const Dfg kernel = is_kernel_form(built) ? built : extract_kernel(built);
+    const TransformResult t = transform_spec(kernel, s.latencies.front());
+    const unsigned budget = std::max(1u, t.n_bits / budget_divisor);
+    IncrementalBitSim sim(t.spec, budget);
+    sim.set_cross_check(false);
+
+    // flatsim_test's place/undo walk, long enough to reach deep partial
+    // schedules. Every rejected probe of the check costs a full-state
+    // compare (~9k probes per state on ar_lattice), so the bound is checked
+    // at 12 evenly spaced states of the walk and at its end.
+    auto unplaced = [&](std::size_t k) {
+      return sim.assignment()[t.adds[k].node.index][0] == kUnassignedCycle;
+    };
+    std::vector<std::size_t> placed_stack;
+    std::size_t lowest = 0;
+    const std::size_t steps = 3 * t.adds.size();
+    const std::size_t stride = std::max<std::size_t>(1, steps / 12);
+    for (std::size_t step = 0; step <= steps; ++step) {
+      if (step % stride == 0 || step == steps) {
+        expect_bound_is_sound(t, sim, s.name + " step " + std::to_string(step));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      if (!placed_stack.empty() && rng() % 8 == 0) {
+        sim.undo();
+        lowest = std::min(lowest, placed_stack.back());
+        placed_stack.pop_back();
+        continue;
+      }
+      while (lowest < t.adds.size() && !unplaced(lowest)) ++lowest;
+      if (lowest == t.adds.size()) continue;
+      // Half the picks extend the ASAP schedule (feasible by construction
+      // of the windows) at the lowest-index unplaced fragment, which drives
+      // the walk deep; the rest are flatsim_test's random fragment at a
+      // mostly in-window cycle.
+      const bool extend = rng() % 2 == 0;
+      const std::size_t k = extend ? lowest : rng() % t.adds.size();
+      if (!unplaced(k)) continue;
+      const TransformedAdd& a = t.adds[k];
+      const unsigned c = extend ? a.asap
+                         : rng() % 4 == 0
+                             ? static_cast<unsigned>(rng() % t.latency)
+                             : a.asap + rng() % (a.alap - a.asap + 1);
+      if (sim.try_place(a.node, c)) placed_stack.push_back(k);
+    }
+  }
+}
+
+// The force-directed pre-filter drops every candidate below the bound
+// without probing it, so the bound must never exceed a cycle the oracle
+// accepts — at the §3.2 budget and at a tight one.
+TEST(IncrementalBitSim, EarliestCycleBoundNeverHidesAnAcceptedCycle) {
+  run_bound_property(/*budget_divisor=*/1, 0xEA71ull);
+  run_bound_property(/*budget_divisor=*/2, 0xEA72ull);
+}
+
 TEST(IncrementalBitSim, SchedulersAgreeAcrossOraclesOnRegistrySuites) {
   // The two feasibility oracles (incremental vs full re-simulation) must
   // drive both builtin strategies to bit-identical schedules everywhere.
@@ -99,9 +180,20 @@ TEST(IncrementalBitSim, SchedulersAgreeAcrossOraclesOnRegistrySuites) {
     // runtime here. bench_micro compares the oracles at that scale.
     if (t.adds.size() > 400) continue;
     for (const char* name : {"list", "forcedirected"}) {
-      const FragSchedule inc = run_scheduler(name, t);
-      const FragSchedule ref = run_scheduler(name, t, full);
+      OracleCounters inc_counters, ref_counters;
+      SchedulerOptions inc_options, ref_options = full;
+      inc_options.counters = &inc_counters;
+      ref_options.counters = &ref_counters;
+      const FragSchedule inc = run_scheduler(name, t, inc_options);
+      const FragSchedule ref = run_scheduler(name, t, ref_options);
       EXPECT_EQ(to_string(t.spec, inc.schedule), to_string(t.spec, ref.schedule))
+          << s.name << " " << name;
+      // Full re-simulation has no earliest-cycle bound, so it evaluates
+      // exactly the candidates the incremental run evaluated or filtered.
+      EXPECT_EQ(ref_counters.candidates_filtered, 0u) << s.name << " " << name;
+      EXPECT_EQ(inc_counters.candidates_evaluated +
+                    inc_counters.candidates_filtered,
+                ref_counters.candidates_evaluated)
           << s.name << " " << name;
     }
   }

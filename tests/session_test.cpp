@@ -362,6 +362,7 @@ TEST(SessionJson, OracleCountersRideTheTimingOptIn) {
   // every fragment commits exactly once, probes cover at least the commits,
   // and probes split exactly into rejects + commits. The counters serialize
   // as the "oracle" JSON block and stay absent without the opt-in.
+  // Only force-directed scans candidates, so only it evaluates or filters.
   const Session session;
   FlowOptions opt;
   opt.timing = true;
@@ -376,16 +377,25 @@ TEST(SessionJson, OracleCountersRideTheTimingOptIn) {
     EXPECT_EQ(c.candidates_probed, c.candidates_rejected + c.candidates_committed)
         << scheduler;
     EXPECT_GT(c.words_repropagated, 0u) << scheduler;
+    if (std::string(scheduler) == "list") {
+      EXPECT_EQ(c.candidates_evaluated, 0u);
+      EXPECT_EQ(c.candidates_filtered, 0u);
+    }
     const std::string j = to_json(r);
-    EXPECT_NE(j.find("\"oracle\":{\"candidates_evaluated\":"),
+    EXPECT_NE(j.find("\"oracle\":{\"candidates_evaluated\":" +
+                     std::to_string(c.candidates_evaluated) +
+                     ",\"candidates_filtered\":" +
+                     std::to_string(c.candidates_filtered) + ","),
               std::string::npos)
         << scheduler;
   }
-  // The force-directed strategy also reports its force evaluations.
+  // The force-directed strategy also reports its force evaluations, and the
+  // candidates its earliest-cycle bound removed before evaluating them.
   const FlowResult fd =
       session.run({motivational(), "optimized", 3, 0, opt, "forcedirected"})
           .require();
   EXPECT_GT(fd.counters->candidates_evaluated, 0u);
+  EXPECT_GT(fd.counters->candidates_filtered, 0u);
 
   // Without the option: no counters, no "oracle" block (byte-stable output).
   const FlowResult plain =
