@@ -9,8 +9,13 @@
 // fragment-schedule (conventional and blc ignore both). Failed points
 // (infeasible latencies) are part of the grid: their JSON is pinned too.
 //
-// Regenerate deliberately with FRAGHLS_REGEN_GOLDEN=1, which rewrites
-// tests/golden/identity_digests.txt from the current build.
+// The JSON carries only datapath counts, so the same loop also pins every
+// uncached result's full Datapath (bindings, registers, muxes, the stored-run
+// register plan) and, where the result carries a transform and a schedule,
+// the emitted RTL VHDL, in tests/golden/rtl_digests.txt.
+//
+// Regenerate deliberately with FRAGHLS_REGEN_GOLDEN=1, which rewrites both
+// golden files from the current build.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +27,7 @@
 #include "flow/json.hpp"
 #include "flow/session.hpp"
 #include "ir/hash.hpp"
+#include "rtl/rtl_emit.hpp"
 #include "suites/suites.hpp"
 #include "support/strings.hpp"
 
@@ -29,10 +35,66 @@ namespace hls {
 namespace {
 
 const char* const kGolden = "identity_digests.txt";
+const char* const kRtlGolden = "rtl_digests.txt";
+
+void mix_datapath(Digest& d, const Datapath& dp) {
+  d.mix(dp.fus.size());
+  for (const FuInstance& fu : dp.fus) {
+    d.mix(static_cast<unsigned>(fu.cls));
+    d.mix(fu.width);
+    d.mix(fu.width2);
+    d.mix(fu.bound.size());
+    for (const auto& [cycle, op] : fu.bound) {
+      d.mix(cycle);
+      d.mix(op.index);
+    }
+  }
+  d.mix(dp.regs.size());
+  for (const RegInstance& r : dp.regs) {
+    d.mix(r.width);
+    d.mix(r.first_boundary);
+    d.mix(r.last_boundary);
+  }
+  d.mix(dp.muxes.size());
+  for (const MuxInstance& m : dp.muxes) {
+    d.mix(m.inputs);
+    d.mix(m.width);
+  }
+  d.mix(dp.stored.size());
+  for (const StoredRun& run : dp.stored) {
+    d.mix(run.node.index);
+    d.mix(run.bits.lo);
+    d.mix(run.bits.width);
+    d.mix(run.produced);
+    d.mix(run.last_use);
+    d.mix(run.reg);
+  }
+  d.mix(dp.states);
+  d.mix(dp.control_signals);
+}
+
+std::string hex(const Digest& d) {
+  return strformat("%016llx%016llx", static_cast<unsigned long long>(d.a),
+                   static_cast<unsigned long long>(d.b));
+}
+
+/// Compares `lines` with the golden file `name`, rewriting it first when
+/// FRAGHLS_REGEN_GOLDEN is set.
+void expect_golden(const std::string& lines, const char* name) {
+  const std::string path = std::string(FRAGHLS_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("FRAGHLS_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path) << lines;
+  }
+  std::ifstream f(path);
+  ASSERT_TRUE(f) << "golden file not found: " << path;
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  EXPECT_EQ(lines, golden.str()) << name;
+}
 
 TEST(Identity, EveryFlowPointIsByteIdenticalAndPinned) {
   const Session session(SessionOptions{.workers = 1});
-  std::string lines;
+  std::string lines, rtl_lines;
   std::size_t points = 0, ok = 0;
   for (const SuiteEntry& suite : registry_suites()) {
     const Dfg spec = suite.build();
@@ -44,7 +106,8 @@ TEST(Identity, EveryFlowPointIsByteIdenticalAndPinned) {
                     : std::vector<std::string>{"list"};
       const std::vector<bool> narrows =
           fragments ? std::vector<bool>{false, true} : std::vector<bool>{false};
-      Digest d;
+      Digest d, datapath, vhdl;
+      std::size_t emitted = 0;
       for (const std::string& scheduler : schedulers) {
         for (const unsigned latency : suite.latencies) {
           for (const std::string target : {"paper-ripple", "cla"}) {
@@ -68,28 +131,31 @@ TEST(Identity, EveryFlowPointIsByteIdenticalAndPinned) {
               EXPECT_EQ(cold, json) << where;
               EXPECT_EQ(warm, json) << where;
               d.mix_bytes(json.data(), json.size());
+              mix_datapath(datapath, uncached.report.datapath);
+              if (uncached.transform && uncached.schedule) {
+                const std::string rtl = emit_rtl_vhdl(
+                    *uncached.transform, *uncached.schedule,
+                    uncached.report.datapath);
+                vhdl.mix_bytes(rtl.data(), rtl.size());
+                ++emitted;
+              }
               ++points;
               if (uncached.ok) ++ok;
             }
           }
         }
       }
-      lines += strformat("%s %s %016llx%016llx\n", suite.name.c_str(),
-                         flow.c_str(), static_cast<unsigned long long>(d.a),
-                         static_cast<unsigned long long>(d.b));
+      lines += suite.name + " " + flow + " " + hex(d) + "\n";
+      rtl_lines += suite.name + " " + flow + " datapath " + hex(datapath) + "\n";
+      if (emitted > 0) {
+        rtl_lines += suite.name + " " + flow + " vhdl " + hex(vhdl) + "\n";
+      }
     }
   }
   EXPECT_GT(ok, points / 2) << ok << " of " << points << " points ok";
 
-  const std::string path = std::string(FRAGHLS_GOLDEN_DIR) + "/" + kGolden;
-  if (std::getenv("FRAGHLS_REGEN_GOLDEN") != nullptr) {
-    std::ofstream(path) << lines;
-  }
-  std::ifstream f(path);
-  ASSERT_TRUE(f) << "golden file not found: " << path;
-  std::ostringstream golden;
-  golden << f.rdbuf();
-  EXPECT_EQ(lines, golden.str());
+  expect_golden(lines, kGolden);
+  expect_golden(rtl_lines, kRtlGolden);
 }
 
 } // namespace
