@@ -51,6 +51,30 @@ unsigned Datapath::fu_count(FuClass c) const {
                     [c](const FuInstance& f) { return f.cls == c; }));
 }
 
+StoredRunIndex::StoredRunIndex(const std::vector<StoredRun>& stored,
+                               std::size_t node_count)
+    : stored_(stored), offsets_(node_count + 1, 0), runs_(stored.size()) {
+  for (const StoredRun& run : stored) ++offsets_[run.node.index + 1];
+  for (std::size_t i = 1; i <= node_count; ++i) offsets_[i] += offsets_[i - 1];
+  std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+  for (std::uint32_t r = 0; r < stored.size(); ++r) {
+    runs_[fill[stored[r].node.index]++] = r;
+  }
+}
+
+const StoredRun* StoredRunIndex::covering(NodeId node, unsigned bit,
+                                          unsigned cycle) const {
+  for (std::uint32_t i = offsets_[node.index]; i < offsets_[node.index + 1];
+       ++i) {
+    const StoredRun& run = stored_[runs_[i]];
+    if (run.bits.contains(bit) && run.produced < cycle &&
+        run.last_use >= cycle) {
+      return &run;
+    }
+  }
+  return nullptr;
+}
+
 std::vector<unsigned> color_intervals(
     const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy) {
   std::vector<unsigned> color(busy.size(), 0);

@@ -60,6 +60,25 @@ struct StoredRun {
   unsigned reg = 0;        ///< index into Datapath::regs
 };
 
+/// Datapath::stored bucketed by node (CSR), in Datapath::stored order within
+/// each node: the one "which register holds this bit in this cycle" lookup
+/// the RTL emitter and the cycle simulator share. Refers to `stored`, which
+/// must outlive the index.
+class StoredRunIndex {
+public:
+  StoredRunIndex(const std::vector<StoredRun>& stored, std::size_t node_count);
+
+  /// The first run, in Datapath::stored order, holding bit `bit` of `node`
+  /// into `cycle`: produced in an earlier cycle and last used in `cycle` or
+  /// later. nullptr when no run does.
+  const StoredRun* covering(NodeId node, unsigned bit, unsigned cycle) const;
+
+private:
+  const std::vector<StoredRun>& stored_;
+  std::vector<std::uint32_t> offsets_;  ///< size node_count + 1
+  std::vector<std::uint32_t> runs_;     ///< indices into stored_, by node
+};
+
 struct Datapath {
   std::vector<FuInstance> fus;
   std::vector<RegInstance> regs;

@@ -12,7 +12,7 @@ class DatapathSim {
 public:
   DatapathSim(const TransformResult& t, const FragSchedule& fs,
               const Datapath& dp, const InputValues& inputs)
-      : dfg_(t.spec), dp_(dp), latency_(t.latency) {
+      : dfg_(t.spec), runs_(dp.stored, t.spec.size()), latency_(t.latency) {
     values_.assign(dfg_.size(), 0);
     cycle_of_.assign(dfg_.size(), kNever);
     for (const ScheduleRow& r : fs.schedule.rows) {
@@ -30,21 +30,6 @@ public:
       } else if (n.kind == OpKind::Const) {
         values_[i] = truncate(n.value, n.width);
       }
-    }
-
-    // CSR bucket of stored runs by node: the storage-coverage check runs
-    // once per cross-cycle bit read, so it must not rescan every run of the
-    // whole register plan each time.
-    run_offsets_.assign(dfg_.size() + 1, 0);
-    for (const StoredRun& run : dp_.stored) ++run_offsets_[run.node.index + 1];
-    for (std::size_t i = 1; i <= dfg_.size(); ++i) {
-      run_offsets_[i] += run_offsets_[i - 1];
-    }
-    run_of_node_.resize(dp_.stored.size());
-    std::vector<std::uint32_t> fill(run_offsets_.begin(),
-                                    run_offsets_.end() - 1);
-    for (std::uint32_t r = 0; r < dp_.stored.size(); ++r) {
-      run_of_node_[fill[dp_.stored[r].node.index]++] = r;
     }
   }
 
@@ -86,7 +71,8 @@ private:
               bit, node.index, use_cycle,
               produced == kNever ? "never" : std::to_string(produced).c_str()));
         }
-        if (checked && produced < use_cycle && !stored_covers(node, bit, use_cycle)) {
+        if (checked && produced < use_cycle &&
+            runs_.covering(node, bit, use_cycle) == nullptr) {
           throw Error(strformat(
               "bit %u of add %%%u crosses from cycle %u to cycle %u without "
               "register storage",
@@ -134,18 +120,6 @@ private:
     return v;
   }
 
-  bool stored_covers(NodeId node, unsigned bit, unsigned use_cycle) const {
-    for (std::uint32_t i = run_offsets_[node.index];
-         i < run_offsets_[node.index + 1]; ++i) {
-      const StoredRun& run = dp_.stored[run_of_node_[i]];
-      if (run.bits.contains(bit) && run.produced <= use_cycle - 1 &&
-          run.last_use >= use_cycle) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   void compute_add(NodeId id, unsigned cycle) {
     const Node& n = dfg_.node(id);
     const std::uint64_t a = operand_value(n.operands[0], cycle, true);
@@ -156,12 +130,10 @@ private:
   }
 
   const Dfg& dfg_;
-  const Datapath& dp_;
+  const StoredRunIndex runs_;  ///< the register plan, bucketed by node
   unsigned latency_;
   std::vector<std::uint64_t> values_;
   std::vector<unsigned> cycle_of_;
-  std::vector<std::uint32_t> run_offsets_;   ///< CSR: runs of each node
-  std::vector<std::uint32_t> run_of_node_;   ///< indices into dp_.stored
 };
 
 } // namespace

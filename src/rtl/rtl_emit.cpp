@@ -1,27 +1,16 @@
 #include "rtl/rtl_emit.hpp"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
+#include <charconv>
+#include <optional>
+#include <string_view>
+#include <type_traits>
 
+#include "rtl/names.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
 
 namespace {
-
-std::string sanitize_id(const std::string& s, const std::string& fallback) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  return out.empty() ? fallback : out;
-}
 
 /// Where one bit of a value lives at a given cycle.
 struct BitSource {
@@ -30,36 +19,59 @@ struct BitSource {
   unsigned bit = 0;      ///< bit position within the source signal
 };
 
+/// The emitted text: one std::string, text appended verbatim and integers
+/// through std::to_chars.
+struct Text {
+  std::string s;
+
+  Text& operator<<(std::string_view v) {
+    s.append(v);
+    return *this;
+  }
+  template <typename T>
+    requires std::is_integral_v<T>
+  Text& operator<<(T v) {
+    char buf[24];
+    s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+};
+
 class RtlEmitter {
 public:
   RtlEmitter(const TransformResult& t, const FragSchedule& fs, const Datapath& dp)
-      : dfg_(t.spec), dp_(dp), latency_(t.latency) {
+      : dfg_(t.spec), dp_(dp), runs_(dp.stored, t.spec.size()),
+        latency_(t.latency), names_(node_names(t.spec)) {
     cycle_of_.assign(dfg_.size(), UINT32_MAX);
     for (const ScheduleRow& r : fs.schedule.rows) {
       cycle_of_[r.op.index] = r.cycle;
     }
-    assign_names();
+    // Register loads bucketed by producing cycle (CSR), in stored order.
+    load_offsets_.assign(latency_ + 1, 0);
+    for (const StoredRun& run : dp_.stored) {
+      if (run.produced < latency_) ++load_offsets_[run.produced + 1];
+    }
+    for (unsigned c = 1; c <= latency_; ++c) {
+      load_offsets_[c] += load_offsets_[c - 1];
+    }
+    loads_.resize(load_offsets_[latency_]);
+    std::vector<std::uint32_t> fill(load_offsets_.begin(),
+                                    load_offsets_.end() - 1);
+    for (std::uint32_t r = 0; r < dp_.stored.size(); ++r) {
+      if (dp_.stored[r].produced < latency_) {
+        loads_[fill[dp_.stored[r].produced]++] = r;
+      }
+    }
   }
 
   std::string run();
 
 private:
-  void assign_names() {
-    names_.resize(dfg_.size());
-    std::vector<std::string> used;
-    for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
-      const Node& n = dfg_.node(NodeId{i});
-      std::string name = sanitize_id(n.name, "n" + std::to_string(i));
-      while (std::find(used.begin(), used.end(), name) != used.end()) {
-        name += "_" + std::to_string(i);
-      }
-      used.push_back(name);
-      names_[i] = name;
-    }
-  }
-
-  /// Source of bit `bit` of node `node` as read in `cycle`.
-  BitSource bit_source(NodeId node, unsigned bit, unsigned cycle) const {
+  /// Source of bit `bit` of node `node` as read in `cycle`; empty when it
+  /// is an Add bit that neither this cycle computes nor a stored run holds
+  /// (that bit is recorded in missing_).
+  std::optional<BitSource> bit_source(NodeId node, unsigned bit,
+                                      unsigned cycle) {
     const Node& n = dfg_.node(node);
     switch (n.kind) {
       case OpKind::Input:
@@ -68,177 +80,189 @@ private:
         return BitSource{((n.value >> bit) & 1) ? BitSource::One : BitSource::Zero,
                          0, 0};
       case OpKind::Add: {
-        const unsigned produced = cycle_of_[node.index];
-        if (produced == cycle) return BitSource{BitSource::Net, node.index, bit};
-        // Cross-cycle: find the stored run (guaranteed by the allocator and
-        // verified by simulate_datapath).
-        for (const StoredRun& run : dp_.stored) {
-          if (run.node == node && run.bits.contains(bit) &&
-              run.produced < cycle && run.last_use >= cycle) {
-            return BitSource{BitSource::Reg, static_cast<std::uint32_t>(run.reg),
-                             bit - run.bits.lo};
-          }
+        if (cycle_of_[node.index] == cycle) {
+          return BitSource{BitSource::Net, node.index, bit};
         }
-        throw Error(strformat(
-            "RTL emission: bit %u of %%%u read in cycle %u has no source",
-            bit, node.index, cycle));
+        // Cross-cycle: the stored run the allocator planned (verified by
+        // simulate_datapath).
+        if (const StoredRun* run = runs_.covering(node, bit, cycle)) {
+          return BitSource{BitSource::Reg, static_cast<std::uint32_t>(run->reg),
+                           bit - run->bits.lo};
+        }
+        missing_node_ = node.index;
+        missing_bit_ = bit;
+        return std::nullopt;
       }
       case OpKind::And:
       case OpKind::Or:
       case OpKind::Xor:
       case OpKind::Not:
-        // Glue is rendered as its own combinational expression per cycle; a
-        // glue bit simply reads "the glue net" which we inline by value:
-        // emit glue as nets too (variables computed in every cycle they are
-        // read). For sourcing purposes treat as Net of this node.
+        // Glue is emitted as its own net (a process variable) in every cycle
+        // whose sources are available, so a glue bit reads that net.
         return BitSource{BitSource::Net, node.index, bit};
       case OpKind::Concat: {
         unsigned base = 0;
         for (const Operand& part : n.operands) {
           if (bit < base + part.bits.width) {
-            const unsigned rel = bit - base;
-            if (rel >= part.bits.width) break;
-            return bit_source(part.node, part.bits.lo + rel, cycle);
+            return bit_source(part.node, part.bits.lo + (bit - base), cycle);
           }
           base += part.bits.width;
         }
         return BitSource{BitSource::Zero, 0, 0};
       }
       default:
-        throw Error("RTL emission requires a kernel-form spec");
+        HLS_ASSERT(false, "RTL emission requires a kernel-form spec");
     }
   }
 
-  /// VHDL expression for an operand slice zero-extended to `target` bits,
-  /// assembled MSB-first from maximal uniform segments.
-  std::string operand_expr(const Operand& o, unsigned target, unsigned cycle) {
-    struct Segment {
-      BitSource src;
-      unsigned width;
-    };
-    std::vector<Segment> segs;  // LSB-first
+  /// Appends the VHDL expression for an operand slice zero-extended to
+  /// `target` bits, assembled MSB-first from maximal uniform segments.
+  /// Appends nothing and returns false when some bit has no source.
+  bool operand_expr(const Operand& o, unsigned target, unsigned cycle) {
+    segs_.clear();  // LSB-first
     for (unsigned b = 0; b < target; ++b) {
       BitSource s{BitSource::Zero, 0, 0};
-      if (b < o.bits.width) s = bit_source(o.node, o.bits.lo + b, cycle);
+      if (b < o.bits.width) {
+        const std::optional<BitSource> found =
+            bit_source(o.node, o.bits.lo + b, cycle);
+        if (!found) return false;
+        s = *found;
+      }
       const bool extends =
-          !segs.empty() && segs.back().src.kind == s.kind &&
+          !segs_.empty() && segs_.back().src.kind == s.kind &&
           ((s.kind == BitSource::Zero || s.kind == BitSource::One)
                ? true
-               : (segs.back().src.id == s.id &&
-                  segs.back().src.bit + segs.back().width == s.bit));
+               : (segs_.back().src.id == s.id &&
+                  segs_.back().src.bit + segs_.back().width == s.bit));
       if (extends) {
-        segs.back().width++;
+        segs_.back().width++;
       } else {
-        segs.push_back(Segment{s, 1});
+        segs_.push_back(Segment{s, 1});
       }
     }
-    std::vector<std::string> parts;  // MSB-first for VHDL concatenation
-    for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
+    if (segs_.size() > 1) out_ << "(";
+    for (auto it = segs_.rbegin(); it != segs_.rend(); ++it) {
       const Segment& seg = *it;
+      if (it != segs_.rbegin()) out_ << " & ";
       switch (seg.src.kind) {
         case BitSource::Zero:
         case BitSource::One:
-          parts.push_back("\"" + std::string(seg.width,
-                                             seg.src.kind == BitSource::One ? '1'
-                                                                            : '0') +
-                          "\"");
-          break;
+          out_ << "\"";
+          out_.s.append(seg.width, seg.src.kind == BitSource::One ? '1' : '0');
+          out_ << "\"";
+          continue;
         case BitSource::Port:
-        case BitSource::Net: {
-          const std::string base =
-              seg.src.kind == BitSource::Port ? names_[seg.src.id]
-                                              : "v_" + names_[seg.src.id];
-          parts.push_back(seg.width == 1
-                              ? strformat("%s(%u downto %u)", base.c_str(),
-                                          seg.src.bit, seg.src.bit)
-                              : strformat("%s(%u downto %u)", base.c_str(),
-                                          seg.src.bit + seg.width - 1,
-                                          seg.src.bit));
+          out_ << names_[seg.src.id];
           break;
-        }
+        case BitSource::Net:
+          out_ << "v_" << names_[seg.src.id];
+          break;
         case BitSource::Reg:
-          parts.push_back(strformat("r%u(%u downto %u)", seg.src.id,
-                                    seg.src.bit + seg.width - 1, seg.src.bit));
+          out_ << "r" << seg.src.id;
           break;
       }
+      out_ << "(" << seg.src.bit + seg.width - 1 << " downto " << seg.src.bit
+           << ")";
     }
-    std::string e = join(parts, " & ");
-    if (parts.size() > 1) e = "(" + e + ")";
-    return e;
+    if (segs_.size() > 1) out_ << ")";
+    return true;
+  }
+
+  /// operand_expr for an Add scheduled in `cycle`: every bit it reads must
+  /// have a source.
+  void add_operand(const Operand& o, unsigned width, unsigned cycle) {
+    if (!operand_expr(o, width, cycle)) {
+      throw Error(strformat(
+          "RTL emission: bit %u of %%%u read in cycle %u has no source",
+          missing_bit_, missing_node_, cycle));
+    }
   }
 
   /// Emits the computation of every net (add or glue) needed in `cycle`, in
   /// topological order, as process variables.
-  void emit_cycle(std::ostringstream& os, unsigned cycle) {
+  void emit_cycle(unsigned cycle) {
     // Which nets does this cycle need? Adds scheduled here, plus glue feeding
     // them (glue is cheap to recompute; emit any glue whose sources are all
     // available — conservatively every glue node, each cycle it is consumed).
     for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
       const Node& n = dfg_.node(NodeId{i});
       if (n.kind == OpKind::Add && cycle_of_[i] == cycle) {
-        std::string expr =
-            "std_logic_vector(unsigned(" +
-            operand_expr(n.operands[0], n.width, cycle) + ") + unsigned(" +
-            operand_expr(n.operands[1], n.width, cycle) + ")";
+        out_ << "          v_" << names_[i] << " := std_logic_vector(unsigned(";
+        add_operand(n.operands[0], n.width, cycle);
+        out_ << ") + unsigned(";
+        add_operand(n.operands[1], n.width, cycle);
+        out_ << ")";
         if (n.has_carry_in()) {
-          expr += " + unsigned(" + operand_expr(n.operands[2], n.width, cycle) +
-                  ")";
+          out_ << " + unsigned(";
+          add_operand(n.operands[2], n.width, cycle);
+          out_ << ")";
         }
-        expr += ")";
-        os << "          v_" << names_[i] << " := " << expr << ";\n";
+        out_ << ");\n";
       } else if (is_glue(n.kind)) {
-        // Emit glue nets every cycle (pure wiring; synthesis prunes).
+        // Emit glue nets every cycle (pure wiring; synthesis prunes). Glue
+        // whose sources are unavailable this cycle is not consumed this
+        // cycle either; skip it.
         const char* op = n.kind == OpKind::And   ? " and "
                          : n.kind == OpKind::Or  ? " or "
                          : n.kind == OpKind::Xor ? " xor "
                                                  : nullptr;
-        try {
-          if (op != nullptr) {
-            os << "          v_" << names_[i] << " := "
-               << operand_expr(n.operands[0], n.width, cycle) << op
-               << operand_expr(n.operands[1], n.width, cycle) << ";\n";
-          } else {
-            os << "          v_" << names_[i] << " := not "
-               << operand_expr(n.operands[0], n.width, cycle) << ";\n";
-          }
-        } catch (const Error&) {
-          // Glue whose sources are unavailable this cycle is not consumed
-          // this cycle either; skip it.
+        out_ << "          v_" << names_[i] << " := ";
+        if (op != nullptr) {
+          if (!operand_expr(n.operands[0], n.width, cycle)) continue;
+          out_ << op;
+          if (!operand_expr(n.operands[1], n.width, cycle)) continue;
+        } else {
+          out_ << "not ";
+          if (!operand_expr(n.operands[0], n.width, cycle)) continue;
         }
+        out_ << ";\n";
       }
     }
     // Register loads: runs produced in this cycle.
-    for (const StoredRun& run : dp_.stored) {
-      if (run.produced != cycle) continue;
-      os << "          r" << run.reg << "(" << run.bits.width - 1
-         << " downto 0) <= v_" << names_[run.node.index] << "("
-         << run.bits.msb() << " downto " << run.bits.lo << ");\n";
+    for (std::uint32_t k = load_offsets_[cycle]; k < load_offsets_[cycle + 1];
+         ++k) {
+      const StoredRun& run = dp_.stored[loads_[k]];
+      out_ << "          r" << run.reg << "(" << run.bits.width - 1
+           << " downto 0) <= v_" << names_[run.node.index] << "("
+           << run.bits.msb() << " downto " << run.bits.lo << ");\n";
     }
     // Output latches: latch the whole port in every cycle where all of its
-    // bits resolve to live sources (compose the expression first — a partial
-    // line must never leak when a bit is not yet available).
+    // bits resolve to live sources; otherwise the line is taken back whole.
     for (NodeId out : dfg_.outputs()) {
       const Operand& o = dfg_.node(out).operands[0];
-      std::string expr;
-      try {
-        expr = operand_expr(o, o.bits.width, cycle);
-      } catch (const Error&) {
-        continue;  // not fully available yet
+      const std::size_t line = out_.s.size();
+      out_ << "          " << names_[out.index] << "_r <= ";
+      if (!operand_expr(o, o.bits.width, cycle)) {
+        out_.s.resize(line);  // not fully available yet
+        continue;
       }
-      os << "          " << names_[out.index] << "_r <= " << expr << ";\n";
+      out_ << ";\n";
     }
   }
 
+  struct Segment {
+    BitSource src;
+    unsigned width;
+  };
+
   const Dfg& dfg_;
   const Datapath& dp_;
+  const StoredRunIndex runs_;
   unsigned latency_;
-  std::vector<unsigned> cycle_of_;
   std::vector<std::string> names_;
+  std::vector<unsigned> cycle_of_;
+  std::vector<std::uint32_t> load_offsets_;  ///< CSR: loads of each cycle
+  std::vector<std::uint32_t> loads_;         ///< indices into dp_.stored
+  std::vector<Segment> segs_;                ///< operand_expr's scratch
+  /// The Add bit bit_source last found no source for.
+  std::uint32_t missing_node_ = 0;
+  unsigned missing_bit_ = 0;
+  Text out_;
 };
 
 std::string RtlEmitter::run() {
   const std::string entity = sanitize_id(dfg_.name(), "design") + "_rtl";
-  std::ostringstream os;
+  Text& os = out_;
   os << "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n";
   os << "entity " << entity << " is\n";
   os << "port (clk: in std_logic;\n      rst: in std_logic;\n";
@@ -282,7 +306,7 @@ std::string RtlEmitter::run() {
   os << "        case state is\n";
   for (unsigned c = 0; c < latency_; ++c) {
     os << "        when " << c << " =>\n";
-    emit_cycle(os, c);
+    emit_cycle(c);
     os << "          state <= " << (c + 1 == latency_ ? 0 : c + 1) << ";\n";
   }
   os << "        end case;\n";
@@ -290,7 +314,7 @@ std::string RtlEmitter::run() {
   os << "    end if;\n";
   os << "  end process main;\n";
   os << "end rtl;\n";
-  return os.str();
+  return std::move(os.s);
 }
 
 } // namespace

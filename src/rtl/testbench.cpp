@@ -3,24 +3,12 @@
 #include <random>
 #include <sstream>
 
+#include "rtl/names.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
 
 namespace {
-
-std::string sanitize_id(const std::string& s, const std::string& fallback) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  return out.empty() ? fallback : out;
-}
 
 std::string bin(std::uint64_t v, unsigned w) {
   std::string s;
@@ -34,6 +22,8 @@ std::string emit_testbench(const TransformResult& t, unsigned vectors,
                            std::uint64_t rng_seed) {
   const Dfg& dfg = t.spec;
   const std::string dut = sanitize_id(dfg.name(), "design") + "_rtl";
+  // The DUT's own port names (emit_rtl_vhdl names nodes the same way).
+  const std::vector<std::string> names = node_names(dfg);
   std::mt19937_64 rng(rng_seed);
 
   // Stimulus and golden responses.
@@ -51,23 +41,21 @@ std::string emit_testbench(const TransformResult& t, unsigned vectors,
   os << "  signal clk: std_logic := '0';\n  signal rst: std_logic := '1';\n";
   os << "  signal done: std_logic;\n";
   for (NodeId id : dfg.inputs()) {
-    os << "  signal " << sanitize_id(dfg.node(id).name, "i")
-       << ": std_logic_vector(" << dfg.node(id).width - 1 << " downto 0);\n";
+    os << "  signal " << names[id.index] << ": std_logic_vector("
+       << dfg.node(id).width - 1 << " downto 0);\n";
   }
   for (NodeId id : dfg.outputs()) {
-    os << "  signal " << sanitize_id(dfg.node(id).name, "o")
-       << ": std_logic_vector(" << dfg.node(id).width - 1 << " downto 0);\n";
+    os << "  signal " << names[id.index] << ": std_logic_vector("
+       << dfg.node(id).width - 1 << " downto 0);\n";
   }
   os << "begin\n";
   os << "  clk <= not clk after 5 ns;\n\n";
   os << "  dut: entity work." << dut << " port map (clk => clk, rst => rst";
   for (NodeId id : dfg.inputs()) {
-    const std::string p = sanitize_id(dfg.node(id).name, "i");
-    os << ", " << p << " => " << p;
+    os << ", " << names[id.index] << " => " << names[id.index];
   }
   for (NodeId id : dfg.outputs()) {
-    const std::string p = sanitize_id(dfg.node(id).name, "o");
-    os << ", " << p << " => " << p;
+    os << ", " << names[id.index] << " => " << names[id.index];
   }
   os << ", done => done);\n\n";
   os << "  stimulus: process\n  begin\n";
@@ -76,7 +64,7 @@ std::string emit_testbench(const TransformResult& t, unsigned vectors,
     os << "    -- vector " << v << "\n";
     for (NodeId id : dfg.inputs()) {
       const Node& n = dfg.node(id);
-      os << "    " << sanitize_id(n.name, "i") << " <= "
+      os << "    " << names[id.index] << " <= "
          << bin(truncate(stim[v].at(n.name), n.width), n.width) << ";\n";
     }
     // One full iteration: latency rising edges.
@@ -84,9 +72,9 @@ std::string emit_testbench(const TransformResult& t, unsigned vectors,
           "rising_edge(clk); end loop;\n";
     for (NodeId id : dfg.outputs()) {
       const Node& n = dfg.node(id);
-      os << "    assert " << sanitize_id(n.name, "o") << " = "
+      os << "    assert " << names[id.index] << " = "
          << bin(gold[v].at(n.name), n.width) << " report \"vector " << v
-         << ": " << sanitize_id(n.name, "o") << " mismatch\" severity error;\n";
+         << ": " << names[id.index] << " mismatch\" severity error;\n";
     }
   }
   os << "    report \"testbench finished: " << vectors

@@ -1,49 +1,21 @@
 #include "rtl/vhdl.hpp"
 
-#include <algorithm>
 #include <sstream>
 
+#include "rtl/names.hpp"
 #include "support/strings.hpp"
 
 namespace hls {
 
 namespace {
 
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  return out;
-}
-
 class Emitter {
 public:
-  explicit Emitter(const Dfg& dfg) : dfg_(dfg) { assign_names(); }
+  explicit Emitter(const Dfg& dfg) : dfg_(dfg), names_(node_names(dfg)) {}
 
   std::string run(const std::string& architecture);
 
 private:
-  void assign_names() {
-    names_.resize(dfg_.size());
-    std::vector<std::string> used;
-    for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
-      const Node& n = dfg_.node(NodeId{i});
-      std::string name = sanitize(n.name);
-      if (name.empty()) name = "n" + std::to_string(i);
-      while (std::find(used.begin(), used.end(), name) != used.end()) {
-        name += "_" + std::to_string(i);
-      }
-      used.push_back(name);
-      names_[i] = name;
-    }
-  }
-
   std::string slv(unsigned width) const {
     return strformat("std_logic_vector(%u downto 0)", width - 1);
   }
@@ -128,7 +100,7 @@ private:
 };
 
 std::string Emitter::run(const std::string& architecture) {
-  const std::string entity = sanitize(dfg_.name().empty() ? "design" : dfg_.name());
+  const std::string entity = sanitize_id(dfg_.name(), "design");
   std::ostringstream os;
   os << "entity " << entity << " is\n";
   os << "port (clk: in std_logic;\n";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 
 #include "ir/builder.hpp"
 #include "ir/eval.hpp"
@@ -124,6 +125,7 @@ TEST(Vhdl, NamesAreSanitizedAndUnique) {
 } // namespace hls
 
 // -- appended: testbench generator tests -------------------------------------
+#include "rtl/rtl_emit.hpp"
 #include "rtl/testbench.hpp"
 
 namespace hls {
@@ -168,6 +170,69 @@ TEST(Testbench, EmitsForEverySuite) {
         testutil::run_optimized(s.build(), s.latencies.front());
     const std::string tb = emit_testbench(*o.transform, 2, 1);
     EXPECT_NE(tb.find("end tb;"), std::string::npos) << s.name;
+  }
+}
+
+/// The port names an RTL entity declares, in order ("      a: in ...").
+std::vector<std::string> entity_ports(const std::string& rtl) {
+  std::vector<std::string> ports;
+  std::istringstream in(rtl.substr(0, rtl.find("end ")));
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::size_t start = line.rfind('(', colon);
+    start = start == std::string::npos ? 0 : start + 1;
+    const std::size_t first = line.find_first_not_of(' ', start);
+    ports.push_back(line.substr(first, colon - first));
+  }
+  return ports;
+}
+
+/// The formal names of a testbench's DUT port map, each checked to be
+/// mapped to a declared signal of the same name.
+std::vector<std::string> port_map_formals(const std::string& tb) {
+  const std::size_t open = tb.find("port map (");
+  EXPECT_NE(open, std::string::npos);
+  const std::size_t close = tb.find(");", open);
+  std::vector<std::string> formals;
+  std::istringstream in(tb.substr(open + 10, close - open - 10));
+  std::string assoc;
+  while (std::getline(in, assoc, ',')) {
+    const std::size_t first = assoc.find_first_not_of(' ');
+    const std::size_t arrow = assoc.find(" => ");
+    const std::string formal = assoc.substr(first, arrow - first);
+    EXPECT_EQ(assoc.substr(arrow + 4), formal);
+    if (formal != "clk" && formal != "rst" && formal != "done") {
+      EXPECT_NE(tb.find("  signal " + formal + ": "), std::string::npos)
+          << formal;
+    }
+    formals.push_back(formal);
+  }
+  return formals;
+}
+
+TEST(Testbench, PortMapNamesTheEntitysPorts) {
+  // "a" and "a_" sanitize to the same identifier; the RTL entity declares
+  // them as a and a_1, and the testbench must map exactly those ports.
+  SpecBuilder b("clash");
+  const Val a = b.in("a", 8), a_ = b.in("a_", 8);
+  b.out("s", a + a_);
+  const FlowResult o = testutil::run_optimized(std::move(b).take(), 2);
+  const std::string rtl =
+      emit_rtl_vhdl(*o.transform, *o.schedule, o.report.datapath);
+  const std::vector<std::string> ports = entity_ports(rtl);
+  EXPECT_EQ(ports, (std::vector<std::string>{"clk", "rst", "a", "a_1", "s",
+                                             "done"}));
+  EXPECT_EQ(port_map_formals(emit_testbench(*o.transform, 1, 3)), ports);
+
+  for (const SuiteEntry& s : registry_suites()) {
+    const FlowResult r =
+        testutil::run_optimized(s.build(), s.latencies.front());
+    EXPECT_EQ(port_map_formals(emit_testbench(*r.transform, 1, 1)),
+              entity_ports(emit_rtl_vhdl(*r.transform, *r.schedule,
+                                         r.report.datapath)))
+        << s.name;
   }
 }
 
