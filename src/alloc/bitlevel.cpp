@@ -1,10 +1,9 @@
 #include "alloc/bitlevel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <functional>
-#include <map>
-#include <set>
+#include <tuple>
 
 namespace hls {
 
@@ -30,50 +29,51 @@ unsigned real_adder_width(const Node& n) {
   return w;
 }
 
-/// Applies `fn(source_node, source_bit)` for every Add bit an operand slice
-/// depends on, walking through glue and concat wiring bit-exactly.
-void for_each_source_bit(
-    const Dfg& dfg, const Operand& o,
-    const std::function<void(NodeId, unsigned)>& fn) {
-  const Node& p = dfg.node(o.node);
-  switch (p.kind) {
-    case OpKind::Add:
-      for (unsigned j = 0; j < o.bits.width; ++j) fn(o.node, o.bits.lo + j);
-      return;
-    case OpKind::Input:
-    case OpKind::Const:
-      return;
-    case OpKind::And:
-    case OpKind::Or:
-    case OpKind::Xor:
-    case OpKind::Not:
-      for (const Operand& q : p.operands) {
-        const BitRange within = o.bits.intersect(BitRange::whole(q.bits.width));
-        if (within.empty()) continue;
-        for_each_source_bit(
-            dfg, Operand{q.node, BitRange{q.bits.lo + within.lo, within.width}},
-            fn);
-      }
-      return;
-    case OpKind::Concat: {
-      unsigned base = 0;
-      for (const Operand& q : p.operands) {
-        const BitRange span{base, q.bits.width};
-        const BitRange within = o.bits.intersect(span);
-        if (!within.empty()) {
-          for_each_source_bit(
-              dfg,
-              Operand{q.node,
-                      BitRange{q.bits.lo + (within.lo - base), within.width}},
-              fn);
-        }
-        base += q.bits.width;
-      }
-      return;
+/// last_use[offset[u] + b] = latest cycle a scheduled add reads bit b of
+/// add u, through glue and concat wiring bit-exactly; 0 when none does (a
+/// run needs a use after its producing cycle, so 0 and "never" agree).
+std::vector<unsigned> bit_last_uses(const Dfg& dfg, const FragSchedule& fs,
+                                    const std::vector<std::uint32_t>& offset) {
+  std::vector<unsigned> last_use(offset.back(), 0);
+  auto read = [&](const Operand& o, unsigned rel, unsigned cycle) {
+    unsigned& u = last_use[offset[o.node.index] + o.bits.lo + rel];
+    u = std::max(u, cycle);
+  };
+  for (const ScheduleRow& r : fs.schedule.rows) {
+    for (const Operand& o : dfg.node(r.op).operands) {
+      for (unsigned j = 0; j < o.bits.width; ++j) read(o, j, r.cycle);
     }
-    default:
-      HLS_ASSERT(false, "non-kernel node in bit-level allocation");
   }
+  // Push each wiring bit's last use onto the bits it reads. The node vector
+  // is topological, so walking it backwards finalizes every consumer of a
+  // node before the node's own bits are pushed.
+  for (std::uint32_t i = dfg.size(); i-- > 0;) {
+    const Node& n = dfg.node(NodeId{i});
+    if (!is_glue(n.kind) && n.kind != OpKind::Concat) {
+      HLS_ASSERT(n.kind == OpKind::Add || is_structural(n.kind),
+                 "non-kernel node in bit-level allocation");
+      continue;
+    }
+    for (unsigned b = 0; b < n.width; ++b) {
+      const unsigned use = last_use[offset[i] + b];
+      if (use == 0) continue;
+      if (n.kind == OpKind::Concat) {
+        unsigned base = 0;
+        for (const Operand& q : n.operands) {
+          if (b < base + q.bits.width) {
+            read(q, b - base, use);
+            break;
+          }
+          base += q.bits.width;
+        }
+      } else {
+        for (const Operand& q : n.operands) {
+          if (b < q.bits.width) read(q, b, use);
+        }
+      }
+    }
+  }
+  return last_use;
 }
 
 } // namespace
@@ -84,16 +84,21 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
   dp.states = t.latency;
 
   // ---- adders: same-operation groups colored over cycle occupancy ---------
+  // Groups are indexed by original operation; fu_ops reference kernel
+  // nodes, so size by the largest index seen.
   struct Group {
     NodeId orig;
     unsigned width = 0;  ///< widest real adder slice of the group
     std::vector<const FragSchedule::FuOp*> ops;
   };
-  std::map<std::uint32_t, Group> groups;
+  std::uint32_t n_orig = 0;
   for (const FragSchedule::FuOp& f : fs.fu_ops) {
-    auto [gi, inserted] = groups.try_emplace(f.orig.index);
-    Group& g = gi->second;
-    if (inserted) g.orig = f.orig;
+    n_orig = std::max(n_orig, f.orig.index + 1);
+  }
+  std::vector<Group> groups(n_orig);
+  for (const FragSchedule::FuOp& f : fs.fu_ops) {
+    Group& g = groups[f.orig.index];
+    g.orig = f.orig;
     unsigned w = 0;
     for (NodeId node : f.nodes) w += real_adder_width(dfg.node(node));
     g.width = std::max(g.width, w);
@@ -101,7 +106,7 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
   }
 
   std::vector<Group*> ordered;
-  for (auto& [_, g] : groups) {
+  for (Group& g : groups) {
     if (g.width > 0) ordered.push_back(&g);
   }
   std::stable_sort(ordered.begin(), ordered.end(),
@@ -114,7 +119,8 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
     for (const auto* f : g->ops) cycles.push_back({f->cycle, f->cycle});
     busy.push_back(std::move(cycles));
   }
-  std::map<std::uint32_t, std::size_t> fu_of_orig;
+  constexpr std::uint32_t kNoFu = UINT32_MAX;
+  std::vector<std::uint32_t> fu_of_orig(n_orig, kNoFu);
   if (!ordered.empty()) {
     const std::vector<unsigned> color = color_intervals(busy);
     const unsigned n_fus = *std::max_element(color.begin(), color.end()) + 1;
@@ -132,44 +138,44 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
   // ---- multiplexers: distinct sources per adder port ----------------------
   // Port 0/1 = data operands, port 2 = carry-in. Carries between fragments
   // merged into one fu_op are internal to the wider adder, not routed.
-  std::vector<std::map<unsigned, std::set<SourceKey>>> port_sources(dp.fus.size());
+  std::vector<std::array<std::vector<SourceKey>, 3>> port_sources(dp.fus.size());
   for (const FragSchedule::FuOp& f : fs.fu_ops) {
-    auto it = fu_of_orig.find(f.orig.index);
-    if (it == fu_of_orig.end()) continue;
-    std::set<std::uint32_t> own;
-    for (NodeId node : f.nodes) own.insert(node.index);
+    const std::uint32_t k = fu_of_orig[f.orig.index];
+    if (k == kNoFu) continue;
     for (NodeId node : f.nodes) {
       const Node& n = dfg.node(node);
+      HLS_ASSERT(n.operands.size() <= 3, "adder with more than three ports");
       for (unsigned p = 0; p < n.operands.size(); ++p) {
-        if (p == 2 && own.count(n.operands[p].node.index)) continue;
-        port_sources[it->second][p].insert(key_of(n.operands[p]));
+        if (p == 2 && std::find(f.nodes.begin(), f.nodes.end(),
+                                n.operands[p].node) != f.nodes.end()) {
+          continue;
+        }
+        port_sources[k][p].push_back(key_of(n.operands[p]));
       }
     }
   }
   for (std::size_t k = 0; k < dp.fus.size(); ++k) {
-    for (const auto& [port, sources] : port_sources[k]) {
-      if (sources.size() < 2) continue;
-      dp.muxes.push_back(MuxInstance{static_cast<unsigned>(sources.size()),
-                                     port == 2 ? 1 : dp.fus[k].width});
+    for (unsigned port = 0; port < 3; ++port) {
+      std::vector<SourceKey>& sources = port_sources[k][port];
+      std::sort(sources.begin(), sources.end());
+      const auto distinct = static_cast<unsigned>(
+          std::unique(sources.begin(), sources.end()) - sources.begin());
+      if (distinct < 2) continue;
+      dp.muxes.push_back(
+          MuxInstance{distinct, port == 2 ? 1 : dp.fus[k].width});
     }
   }
 
   // ---- registers: bit-level liveness ---------------------------------------
-  std::map<std::uint32_t, unsigned> cycle_of_node;
+  std::vector<std::uint32_t> offset(dfg.size() + 1, 0);
+  for (std::uint32_t i = 0; i < dfg.size(); ++i) {
+    offset[i + 1] = offset[i] + dfg.node(NodeId{i}).width;
+  }
+  const std::vector<unsigned> last_use = bit_last_uses(dfg, fs, offset);
+  constexpr unsigned kUnscheduled = UINT32_MAX;
+  std::vector<unsigned> cycle_of_node(dfg.size(), kUnscheduled);
   for (const ScheduleRow& r : fs.schedule.rows) {
     cycle_of_node[r.op.index] = r.cycle;
-  }
-  // last_use[(node, bit)] = latest cycle a scheduled add reads the bit.
-  std::map<std::pair<std::uint32_t, unsigned>, unsigned> last_use;
-  for (const ScheduleRow& r : fs.schedule.rows) {
-    const Node& n = dfg.node(r.op);
-    const unsigned use_cycle = r.cycle;
-    for (const Operand& o : n.operands) {
-      for_each_source_bit(dfg, o, [&](NodeId u, unsigned bit) {
-        auto [it, _] = last_use.try_emplace({u.index, bit}, 0u);
-        it->second = std::max(it->second, use_cycle);
-      });
-    }
   }
 
   // Contiguous bit runs of one node with identical live spans become one
@@ -182,22 +188,20 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
     unsigned produced, use;
   };
   std::vector<Run> runs;
-  for (const auto& [node_idx, produced] : cycle_of_node) {
-    const Node& n = dfg.node(NodeId{node_idx});
+  for (std::uint32_t node_idx = 0; node_idx < dfg.size(); ++node_idx) {
+    const unsigned produced = cycle_of_node[node_idx];
+    if (produced == kUnscheduled) continue;
+    const unsigned* use_of = &last_use[offset[node_idx]];
+    const unsigned width = dfg.node(NodeId{node_idx}).width;
     unsigned b = 0;
-    while (b < n.width) {
-      const auto it = last_use.find({node_idx, b});
-      if (it == last_use.end() || it->second <= produced) {
+    while (b < width) {
+      const unsigned use = use_of[b];
+      if (use <= produced) {
         ++b;
         continue;
       }
-      const unsigned use = it->second;
       unsigned run_end = b + 1;
-      while (run_end < n.width) {
-        const auto jt = last_use.find({node_idx, run_end});
-        if (jt == last_use.end() || jt->second != use) break;
-        ++run_end;
-      }
+      while (run_end < width && use_of[run_end] == use) ++run_end;
       runs.push_back(Run{run_end - b, produced, use - 1, NodeId{node_idx},
                          BitRange{b, run_end - b}, produced, use});
       b = run_end;

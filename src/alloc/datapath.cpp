@@ -75,26 +75,66 @@ const StoredRun* StoredRunIndex::covering(NodeId node, unsigned bit,
   return nullptr;
 }
 
+namespace {
+
+/// Bits lo..hi (inclusive, both < 64) of one word.
+std::uint64_t span_mask(unsigned lo, unsigned hi) {
+  const std::uint64_t upto_hi = hi == 63 ? ~0ull : (2ull << hi) - 1;
+  return upto_hi & ~((1ull << lo) - 1);
+}
+
+/// Applies `fn(word, mask)` to each word of a cycle bitset that inclusive
+/// interval [first, last] touches; stops early when `fn` returns true.
+template <typename Fn>
+bool for_each_word(unsigned first, unsigned last, Fn fn) {
+  for (unsigned w = first / 64; w <= last / 64; ++w) {
+    const unsigned lo = w == first / 64 ? first % 64 : 0;
+    const unsigned hi = w == last / 64 ? last % 64 : 63;
+    if (fn(w, span_mask(lo, hi))) return true;
+  }
+  return false;
+}
+
+} // namespace
+
 std::vector<unsigned> color_intervals(
     const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy) {
-  std::vector<unsigned> color(busy.size(), 0);
-  // occupied[k] = intervals already placed on color k.
-  std::vector<std::vector<std::pair<unsigned, unsigned>>> occupied;
-  auto conflicts = [](const std::vector<std::pair<unsigned, unsigned>>& xs,
-                      const std::vector<std::pair<unsigned, unsigned>>& ys) {
-    for (const auto& [a1, a2] : xs) {
-      for (const auto& [b1, b2] : ys) {
-        if (a1 <= b2 && b1 <= a2) return true;
-      }
+  // One bitset of occupied cycles per color: an item fits a color when none
+  // of its cycles is set, which for inclusive intervals is exactly "overlaps
+  // no interval placed there".
+  unsigned max_cycle = 0;
+  for (const auto& item : busy) {
+    for (const auto& [first, last] : item) {
+      HLS_ASSERT(first <= last, "color_intervals needs first <= last");
+      max_cycle = std::max(max_cycle, last);
     }
-    return false;
-  };
+  }
+  const std::size_t words = max_cycle / 64 + 1;
+  std::vector<std::uint64_t> occupied;  // color k: words [k*words, (k+1)*words)
+  std::vector<unsigned> color(busy.size(), 0);
   for (std::size_t i = 0; i < busy.size(); ++i) {
-    unsigned k = 0;
-    while (k < occupied.size() && conflicts(occupied[k], busy[i])) ++k;
-    if (k == occupied.size()) occupied.emplace_back();
-    occupied[k].insert(occupied[k].end(), busy[i].begin(), busy[i].end());
-    color[i] = k;
+    const std::size_t n_colors = occupied.size() / words;
+    std::size_t k = 0;
+    for (; k < n_colors; ++k) {
+      const std::uint64_t* set = occupied.data() + k * words;
+      bool conflict = false;
+      for (const auto& [first, last] : busy[i]) {
+        conflict = for_each_word(first, last, [&](unsigned w, std::uint64_t m) {
+          return (set[w] & m) != 0;
+        });
+        if (conflict) break;
+      }
+      if (!conflict) break;
+    }
+    if (k == n_colors) occupied.resize(occupied.size() + words, 0);
+    std::uint64_t* set = occupied.data() + k * words;
+    for (const auto& [first, last] : busy[i]) {
+      for_each_word(first, last, [&](unsigned w, std::uint64_t m) {
+        set[w] |= m;
+        return false;
+      });
+    }
+    color[i] = static_cast<unsigned>(k);
   }
   return color;
 }

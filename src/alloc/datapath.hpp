@@ -94,7 +94,10 @@ struct Datapath {
 /// First-fit interval coloring used by both allocators to share FUs and
 /// registers across non-overlapping occupancy intervals. Items must be
 /// processed widest-first by the caller for sensible widths; returns the
-/// color (instance index) per item. `busy[i]` = inclusive cycle interval.
+/// color (instance index) per item. `busy[i]` = the item's inclusive cycle
+/// intervals, each with first <= last. Each color keeps a bitset of its
+/// occupied cycles, so testing an item costs its cycles, not the intervals
+/// already placed.
 std::vector<unsigned> color_intervals(
     const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "alloc/bitlevel.hpp"
 #include "alloc/oplevel.hpp"
 #include "ir/builder.hpp"
@@ -39,6 +41,59 @@ TEST(ColorIntervals, MultiIntervalItems) {
   EXPECT_EQ(color[0], 0u);
   EXPECT_EQ(color[1], 1u);
   EXPECT_EQ(color[2], 0u);
+}
+
+/// The reference first fit: an item takes the lowest color none of whose
+/// placed intervals overlaps any of its own, tested pairwise.
+std::vector<unsigned> naive_first_fit(
+    const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy) {
+  std::vector<std::vector<std::pair<unsigned, unsigned>>> placed;
+  std::vector<unsigned> color;
+  for (const auto& item : busy) {
+    unsigned k = 0;
+    for (; k < placed.size(); ++k) {
+      bool conflict = false;
+      for (const auto& [a1, a2] : placed[k]) {
+        for (const auto& [b1, b2] : item) {
+          conflict = conflict || (a1 <= b2 && b1 <= a2);
+        }
+      }
+      if (!conflict) break;
+    }
+    if (k == placed.size()) placed.emplace_back();
+    placed[k].insert(placed[k].end(), item.begin(), item.end());
+    color.push_back(k);
+  }
+  return color;
+}
+
+TEST(ColorIntervals, MatchesPairwiseFirstFitAcrossWordBoundaries) {
+  // Fixed cases straddling and sitting on the 64-cycle word boundaries.
+  const std::vector<std::vector<std::pair<unsigned, unsigned>>> fixed = {
+      {{60, 70}}, {{64, 64}}, {{130, 130}}, {{63, 63}}, {{71, 129}},
+      {{0, 200}}, {{128, 128}, {64, 64}}, {{65, 127}}};
+  EXPECT_EQ(color_intervals(fixed), naive_first_fit(fixed));
+
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const unsigned max_cycle = 1 + static_cast<unsigned>(rng() % 200);
+    const std::size_t items = 1 + rng() % 40;
+    std::vector<std::vector<std::pair<unsigned, unsigned>>> busy(items);
+    for (auto& item : busy) {
+      const std::size_t n = rng() % 4;  // items with no interval included
+      for (std::size_t j = 0; j < n; ++j) {
+        const unsigned first = static_cast<unsigned>(rng() % (max_cycle + 1));
+        const unsigned len = static_cast<unsigned>(rng() % 8 == 0 ? rng() % 100
+                                                                  : rng() % 4);
+        item.push_back({first, std::min(max_cycle, first + len)});
+      }
+    }
+    EXPECT_EQ(color_intervals(busy), naive_first_fit(busy)) << "trial " << trial;
+  }
+}
+
+TEST(ColorIntervals, RejectsInvertedIntervals) {
+  EXPECT_THROW(color_intervals({{{3, 2}}}), Error);
 }
 
 TEST(OpLevel, MotivationalSharesOneAdder) {
