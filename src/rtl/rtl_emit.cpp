@@ -201,19 +201,27 @@ private:
       } else if (is_glue(n.kind)) {
         // Emit glue nets every cycle (pure wiring; synthesis prunes). Glue
         // whose sources are unavailable this cycle is not consumed this
-        // cycle either; skip it.
+        // cycle either: its line is taken back whole.
         const char* op = n.kind == OpKind::And   ? " and "
                          : n.kind == OpKind::Or  ? " or "
                          : n.kind == OpKind::Xor ? " xor "
                                                  : nullptr;
+        const std::size_t line = out_.s.size();
         out_ << "          v_" << names_[i] << " := ";
+        bool whole;
         if (op != nullptr) {
-          if (!operand_expr(n.operands[0], n.width, cycle)) continue;
-          out_ << op;
-          if (!operand_expr(n.operands[1], n.width, cycle)) continue;
+          whole = operand_expr(n.operands[0], n.width, cycle);
+          if (whole) {
+            out_ << op;
+            whole = operand_expr(n.operands[1], n.width, cycle);
+          }
         } else {
           out_ << "not ";
-          if (!operand_expr(n.operands[0], n.width, cycle)) continue;
+          whole = operand_expr(n.operands[0], n.width, cycle);
+        }
+        if (!whole) {
+          out_.s.resize(line);
+          continue;
         }
         out_ << ";\n";
       }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <regex>
+#include <sstream>
 
 #include "testutil.hpp"
 #include "ir/builder.hpp"
@@ -177,6 +179,57 @@ TEST(RtlEmit, WorksForEverySuite) {
     EXPECT_NE(v.find("architecture rtl"), std::string::npos) << s.name;
     EXPECT_NE(v.find("end rtl;"), std::string::npos) << s.name;
   }
+}
+
+TEST(RtlEmit, EveryStatementLineIsWhole) {
+  // Between `case state is` and `end case;` every line is a state label or
+  // exactly one complete assignment: a glue net whose operands are not
+  // available in a state must leave no partial line behind. Checked over
+  // every registry suite x latency x target x scheduler x narrow.
+  const Session session(SessionOptions{.workers = 1});
+  const std::regex label(R"(\s*when \d+ =>)");
+  std::size_t points = 0, designs = 0;
+  for (const SuiteEntry& suite : registry_suites()) {
+    const Dfg spec = suite.build();
+    for (const std::string scheduler : {"list", "forcedirected"}) {
+      for (const unsigned latency : suite.latencies) {
+        for (const std::string target : {"paper-ripple", "cla"}) {
+          for (const bool narrow : {false, true}) {
+            FlowRequest req{spec, "optimized", latency, 0, {}, scheduler, target};
+            req.options.narrow = narrow;
+            const FlowResult o = session.run(req);
+            ++points;
+            if (!o.ok) continue;
+            ++designs;
+            const std::string v =
+                emit_rtl_vhdl(*o.transform, *o.schedule, o.report.datapath);
+            const std::size_t begin = v.find("case state is\n");
+            const std::size_t end = v.find("        end case;\n");
+            ASSERT_NE(begin, std::string::npos);
+            ASSERT_NE(end, std::string::npos);
+            std::istringstream lines(
+                v.substr(begin + 14, end - (begin + 14)));
+            std::string line;
+            while (std::getline(lines, line)) {
+              if (std::regex_match(line, label)) continue;
+              std::size_t assignments = 0;
+              for (const char* op : {":=", "<="}) {
+                for (std::size_t p = line.find(op); p != std::string::npos;
+                     p = line.find(op, p + 2)) {
+                  ++assignments;
+                }
+              }
+              EXPECT_EQ(assignments, 1u)
+                  << suite.name << " L" << latency << " " << scheduler << " "
+                  << target << " narrow=" << narrow << ": " << line;
+              EXPECT_TRUE(!line.empty() && line.back() == ';') << line;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(designs, points / 2) << designs << " of " << points;
 }
 
 } // namespace
