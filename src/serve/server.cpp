@@ -14,6 +14,7 @@
 #include <csignal>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "dse/explorer.hpp"
@@ -721,6 +722,28 @@ void Server::begin_drain() {
   for (const int conn : conns_) ::shutdown(conn, SHUT_RD);
 }
 
+namespace {
+
+/// Ends a connection that saw no clean EOF with FIN instead of RST. Closing
+/// a socket whose receive queue still holds unread request bytes makes the
+/// kernel reset the connection, and the peer reads ECONNRESET instead of
+/// EOF. So half-close first, then read and discard what the peer still
+/// sends until its EOF, an error, a receive timeout or an overall bound.
+void close_write_and_drain(int conn) {
+  ::shutdown(conn, SHUT_WR);
+  timeval timeout{};
+  timeout.tv_usec = 200 * 1000;
+  ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  char buf[4096];
+  while (std::chrono::steady_clock::now() < deadline &&
+         ::recv(conn, buf, sizeof buf, 0) > 0) {
+  }
+}
+
+} // namespace
+
 void Server::connection_loop(int conn) {
   active_connections_.fetch_add(1, std::memory_order_relaxed);
   // Byte stream -> lines -> handle_line -> response lines.
@@ -769,6 +792,8 @@ done:
   if (!clean_eof && !shutdown_requested()) {
     counters_.disconnects->add();
   }
+  // Still registered while draining, so begin_drain's SHUT_RD cuts it short.
+  if (!clean_eof) close_write_and_drain(conn);
   {
     // Deregister before close: once the fd is closed the kernel may reuse
     // its number for a new accept, and a stale registry entry would alias

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -695,6 +697,46 @@ TEST(Serve, DeadlineCancelsMidStageWellUnderUncancelledTime) {
   EXPECT_EQ(result->find("serve")->find("cancelled")->as_unsigned(), 1u);
   EXPECT_EQ(
       result->find("requests")->find("deadline_exceeded")->as_unsigned(), 1u);
+}
+
+TEST(Serve, RecvFaultEndsTheConnectionWithEofNotAReset) {
+  // An injected read fault sacrifices the connection before its request is
+  // read. The daemon must end it with FIN, so the client reads EOF rather
+  // than ECONNRESET; it counts one disconnect and serves the next client.
+  Server server;
+  std::ostringstream log;
+  std::thread daemon;
+  const unsigned port = start_daemon(server, daemon, log);
+
+  arm_failpoints("serve.recv=error");
+  const int victim = connect_to(port);
+  const std::string req =
+      "{\"kind\":\"run\",\"suite\":\"fir2\",\"latency\":3}\n";
+  ASSERT_GE(::send(victim, req.data(), req.size(), MSG_NOSIGNAL), 0);
+  char buf[256];
+  errno = 0;
+  const ssize_t n = ::recv(victim, buf, sizeof buf, 0);
+  EXPECT_EQ(n, 0) << "recv: " << std::strerror(errno);
+  ::close(victim);
+  disarm_failpoints();
+
+  const int fd = connect_to(port);
+  const std::string next =
+      req + "{\"kind\":\"stats\"}\n{\"kind\":\"shutdown\"}\n";
+  ASSERT_GE(::send(fd, next.data(), next.size(), MSG_NOSIGNAL), 0);
+  std::istringstream lines(recv_lines(fd, 3));
+  std::string run_line, stats_line;
+  ASSERT_TRUE(std::getline(lines, run_line));
+  ASSERT_TRUE(std::getline(lines, stats_line));
+  EXPECT_TRUE(response_ok(parse_response(run_line)));
+  const JsonValue stats = parse_response(stats_line);
+  EXPECT_EQ(stats.find("result")
+                ->find("serve")
+                ->find("disconnects")
+                ->as_unsigned(),
+            1u);
+  ::close(fd);
+  daemon.join();
 }
 
 TEST(Serve, KillingAClientMidResponseCountsADisconnectNotACrash) {
