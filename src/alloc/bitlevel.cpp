@@ -1,18 +1,15 @@
 #include "alloc/bitlevel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <tuple>
 
 namespace hls {
 
 namespace {
 
-using SourceKey = std::tuple<std::uint32_t, unsigned, unsigned>;
-
-SourceKey key_of(const Operand& o) {
-  return {o.node.index, o.bits.lo, o.bits.width};
+/// A mux source: producer node and slice, packed (slice bounds are <= 64).
+std::uint64_t source_key(const Operand& o) {
+  return std::uint64_t{o.node.index} << 16 | o.bits.lo << 8 | o.bits.width;
 }
 
 unsigned log2_ceil(unsigned v) {
@@ -20,13 +17,11 @@ unsigned log2_ceil(unsigned v) {
 }
 
 /// Real adder bits of a fragment node: result bits within the operand
-/// slices; the exposed carry-out and zero-extension bits are wiring.
+/// slices (the bits add_bit_is_free is false for); the exposed carry-out and
+/// zero-extension bits are wiring.
 unsigned real_adder_width(const Node& n) {
-  unsigned w = 0;
-  for (unsigned b = 0; b < n.width; ++b) {
-    if (!n.add_bit_is_free(b)) ++w;
-  }
-  return w;
+  return std::min(n.width, std::max(n.operands[0].bits.width,
+                                     n.operands[1].bits.width));
 }
 
 /// last_use[offset[u] + b] = latest cycle a scheduled add reads bit b of
@@ -84,86 +79,84 @@ Datapath allocate_bitlevel(const TransformResult& t, const FragSchedule& fs) {
   dp.states = t.latency;
 
   // ---- adders: same-operation groups colored over cycle occupancy ---------
-  // Groups are indexed by original operation; fu_ops reference kernel
-  // nodes, so size by the largest index seen.
-  struct Group {
-    NodeId orig;
-    unsigned width = 0;  ///< widest real adder slice of the group
-    std::vector<const FragSchedule::FuOp*> ops;
-  };
+  // A group is every fu_op of one original operation, indexed by that kernel
+  // node; its width is the widest real adder slice among them.
   std::uint32_t n_orig = 0;
   for (const FragSchedule::FuOp& f : fs.fu_ops) {
     n_orig = std::max(n_orig, f.orig.index + 1);
   }
-  std::vector<Group> groups(n_orig);
+  std::vector<unsigned> group_width(n_orig, 0);
   for (const FragSchedule::FuOp& f : fs.fu_ops) {
-    Group& g = groups[f.orig.index];
-    g.orig = f.orig;
     unsigned w = 0;
     for (NodeId node : f.nodes) w += real_adder_width(dfg.node(node));
-    g.width = std::max(g.width, w);
-    g.ops.push_back(&f);
+    group_width[f.orig.index] = std::max(group_width[f.orig.index], w);
   }
-
-  std::vector<Group*> ordered;
-  for (Group& g : groups) {
-    if (g.width > 0) ordered.push_back(&g);
+  std::vector<std::uint32_t> ordered;  // groups with adder bits, widest first
+  for (std::uint32_t g = 0; g < n_orig; ++g) {
+    if (group_width[g] > 0) ordered.push_back(g);
   }
   std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Group* a, const Group* b) { return a->width > b->width; });
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return group_width[a] > group_width[b];
+                   });
 
-  std::vector<std::vector<std::pair<unsigned, unsigned>>> busy;
-  busy.reserve(ordered.size());
-  for (const Group* g : ordered) {
-    std::vector<std::pair<unsigned, unsigned>> cycles;
-    for (const auto* f : g->ops) cycles.push_back({f->cycle, f->cycle});
-    busy.push_back(std::move(cycles));
+  // busy[r] = the cycles of group ordered[r]'s fu_ops, in fu_ops order.
+  constexpr std::uint32_t kNone = UINT32_MAX;
+  std::vector<std::uint32_t> rank(n_orig, kNone);
+  for (std::uint32_t r = 0; r < ordered.size(); ++r) rank[ordered[r]] = r;
+  std::vector<std::vector<std::pair<unsigned, unsigned>>> busy(ordered.size());
+  for (const FragSchedule::FuOp& f : fs.fu_ops) {
+    if (rank[f.orig.index] != kNone) {
+      busy[rank[f.orig.index]].push_back({f.cycle, f.cycle});
+    }
   }
-  constexpr std::uint32_t kNoFu = UINT32_MAX;
-  std::vector<std::uint32_t> fu_of_orig(n_orig, kNoFu);
+  std::vector<std::uint32_t> fu_of_orig(n_orig, kNone);
   if (!ordered.empty()) {
     const std::vector<unsigned> color = color_intervals(busy);
     const unsigned n_fus = *std::max_element(color.begin(), color.end()) + 1;
     dp.fus.assign(n_fus, FuInstance{FuClass::Adder, 0, 0, {}});
-    for (std::size_t i = 0; i < ordered.size(); ++i) {
-      FuInstance& fu = dp.fus[color[i]];
-      fu.width = std::max(fu.width, ordered[i]->width);
-      for (const auto* f : ordered[i]->ops) {
-        fu.bound.push_back({f->cycle, ordered[i]->orig});
+    for (std::size_t r = 0; r < ordered.size(); ++r) {
+      FuInstance& fu = dp.fus[color[r]];
+      fu.width = std::max(fu.width, group_width[ordered[r]]);
+      for (const auto& [cycle, _] : busy[r]) {
+        fu.bound.push_back({cycle, NodeId{ordered[r]}});
       }
-      fu_of_orig[ordered[i]->orig.index] = color[i];
+      fu_of_orig[ordered[r]] = color[r];
     }
   }
 
   // ---- multiplexers: distinct sources per adder port ----------------------
   // Port 0/1 = data operands, port 2 = carry-in. Carries between fragments
   // merged into one fu_op are internal to the wider adder, not routed.
-  std::vector<std::array<std::vector<SourceKey>, 3>> port_sources(dp.fus.size());
+  // Sorted (FU and port, source) pairs: each distinct source once, grouped
+  // by FU and then port.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sources;
   for (const FragSchedule::FuOp& f : fs.fu_ops) {
     const std::uint32_t k = fu_of_orig[f.orig.index];
-    if (k == kNoFu) continue;
+    if (k == kNone) continue;
     for (NodeId node : f.nodes) {
       const Node& n = dfg.node(node);
-      HLS_ASSERT(n.operands.size() <= 3, "adder with more than three ports");
       for (unsigned p = 0; p < n.operands.size(); ++p) {
         if (p == 2 && std::find(f.nodes.begin(), f.nodes.end(),
                                 n.operands[p].node) != f.nodes.end()) {
           continue;
         }
-        port_sources[k][p].push_back(key_of(n.operands[p]));
+        sources.push_back({std::uint64_t{k} * 4 + p, source_key(n.operands[p])});
       }
     }
   }
-  for (std::size_t k = 0; k < dp.fus.size(); ++k) {
-    for (unsigned port = 0; port < 3; ++port) {
-      std::vector<SourceKey>& sources = port_sources[k][port];
-      std::sort(sources.begin(), sources.end());
-      const auto distinct = static_cast<unsigned>(
-          std::unique(sources.begin(), sources.end()) - sources.begin());
-      if (distinct < 2) continue;
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  for (std::size_t i = 0; i < sources.size();) {
+    std::size_t j = i + 1;
+    while (j < sources.size() && sources[j].first == sources[i].first) ++j;
+    if (j - i >= 2) {
+      const unsigned port = sources[i].first % 4;
       dp.muxes.push_back(
-          MuxInstance{distinct, port == 2 ? 1 : dp.fus[k].width});
+          MuxInstance{static_cast<unsigned>(j - i),
+                      port == 2 ? 1 : dp.fus[sources[i].first / 4].width});
     }
+    i = j;
   }
 
   // ---- registers: bit-level liveness ---------------------------------------

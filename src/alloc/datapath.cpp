@@ -1,6 +1,7 @@
 #include "alloc/datapath.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace hls {
 
@@ -75,33 +76,14 @@ const StoredRun* StoredRunIndex::covering(NodeId node, unsigned bit,
   return nullptr;
 }
 
-namespace {
-
-/// Bits lo..hi (inclusive, both < 64) of one word.
-std::uint64_t span_mask(unsigned lo, unsigned hi) {
-  const std::uint64_t upto_hi = hi == 63 ? ~0ull : (2ull << hi) - 1;
-  return upto_hi & ~((1ull << lo) - 1);
-}
-
-/// Applies `fn(word, mask)` to each word of a cycle bitset that inclusive
-/// interval [first, last] touches; stops early when `fn` returns true.
-template <typename Fn>
-bool for_each_word(unsigned first, unsigned last, Fn fn) {
-  for (unsigned w = first / 64; w <= last / 64; ++w) {
-    const unsigned lo = w == first / 64 ? first % 64 : 0;
-    const unsigned hi = w == last / 64 ? last % 64 : 63;
-    if (fn(w, span_mask(lo, hi))) return true;
-  }
-  return false;
-}
-
-} // namespace
-
 std::vector<unsigned> color_intervals(
     const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy) {
-  // One bitset of occupied cycles per color: an item fits a color when none
-  // of its cycles is set, which for inclusive intervals is exactly "overlaps
-  // no interval placed there".
+  // Per cycle, a bitset of the colors holding it, stored 64 colors to a
+  // block: bit j of occupied[w * cycles + c] is set when color 64w + j holds
+  // cycle c. An item fits a color whose bit is clear in the OR over the
+  // item's cycles, which for inclusive intervals is exactly "overlaps no
+  // interval placed there". Colors not yet opened are clear everywhere, so
+  // the lowest clear bit is the first fit: an open color, or the next one.
   unsigned max_cycle = 0;
   for (const auto& item : busy) {
     for (const auto& [first, last] : item) {
@@ -109,32 +91,31 @@ std::vector<unsigned> color_intervals(
       max_cycle = std::max(max_cycle, last);
     }
   }
-  const std::size_t words = max_cycle / 64 + 1;
-  std::vector<std::uint64_t> occupied;  // color k: words [k*words, (k+1)*words)
+  const std::size_t cycles = std::size_t{max_cycle} + 1;
+  std::vector<std::uint64_t> occupied;
   std::vector<unsigned> color(busy.size(), 0);
   for (std::size_t i = 0; i < busy.size(); ++i) {
-    const std::size_t n_colors = occupied.size() / words;
-    std::size_t k = 0;
-    for (; k < n_colors; ++k) {
-      const std::uint64_t* set = occupied.data() + k * words;
-      bool conflict = false;
+    const std::size_t blocks = occupied.size() / cycles;
+    std::size_t w = 0;
+    std::uint64_t used = 0;
+    for (; w < blocks; ++w) {
+      const std::uint64_t* block = occupied.data() + w * cycles;
+      used = 0;
       for (const auto& [first, last] : busy[i]) {
-        conflict = for_each_word(first, last, [&](unsigned w, std::uint64_t m) {
-          return (set[w] & m) != 0;
-        });
-        if (conflict) break;
+        for (std::size_t c = first; c <= last; ++c) used |= block[c];
       }
-      if (!conflict) break;
+      if (used != ~std::uint64_t{0}) break;
     }
-    if (k == n_colors) occupied.resize(occupied.size() + words, 0);
-    std::uint64_t* set = occupied.data() + k * words;
+    if (w == blocks) {
+      occupied.resize(occupied.size() + cycles, 0);
+      used = 0;
+    }
+    const unsigned bit = static_cast<unsigned>(std::countr_one(used));
+    std::uint64_t* block = occupied.data() + w * cycles;
     for (const auto& [first, last] : busy[i]) {
-      for_each_word(first, last, [&](unsigned w, std::uint64_t m) {
-        set[w] |= m;
-        return false;
-      });
+      for (std::size_t c = first; c <= last; ++c) block[c] |= 1ull << bit;
     }
-    color[i] = static_cast<unsigned>(k);
+    color[i] = static_cast<unsigned>(64 * w + bit);
   }
   return color;
 }

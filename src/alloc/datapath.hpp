@@ -95,9 +95,9 @@ struct Datapath {
 /// registers across non-overlapping occupancy intervals. Items must be
 /// processed widest-first by the caller for sensible widths; returns the
 /// color (instance index) per item. `busy[i]` = the item's inclusive cycle
-/// intervals, each with first <= last. Each color keeps a bitset of its
-/// occupied cycles, so testing an item costs its cycles, not the intervals
-/// already placed.
+/// intervals, each with first <= last. Each cycle keeps a bitset of the
+/// colors holding it, so placing an item costs its cycles times colors/64,
+/// not a test against every interval already placed.
 std::vector<unsigned> color_intervals(
     const std::vector<std::vector<std::pair<unsigned, unsigned>>>& busy);
 
