@@ -46,22 +46,6 @@ public:
     for (const ScheduleRow& r : fs.schedule.rows) {
       cycle_of_[r.op.index] = r.cycle;
     }
-    // Register loads bucketed by producing cycle (CSR), in stored order.
-    load_offsets_.assign(latency_ + 1, 0);
-    for (const StoredRun& run : dp_.stored) {
-      if (run.produced < latency_) ++load_offsets_[run.produced + 1];
-    }
-    for (unsigned c = 1; c <= latency_; ++c) {
-      load_offsets_[c] += load_offsets_[c - 1];
-    }
-    loads_.resize(load_offsets_[latency_]);
-    std::vector<std::uint32_t> fill(load_offsets_.begin(),
-                                    load_offsets_.end() - 1);
-    for (std::uint32_t r = 0; r < dp_.stored.size(); ++r) {
-      if (dp_.stored[r].produced < latency_) {
-        loads_[fill[dp_.stored[r].produced]++] = r;
-      }
-    }
   }
 
   std::string run();
@@ -227,9 +211,8 @@ private:
       }
     }
     // Register loads: runs produced in this cycle.
-    for (std::uint32_t k = load_offsets_[cycle]; k < load_offsets_[cycle + 1];
-         ++k) {
-      const StoredRun& run = dp_.stored[loads_[k]];
+    for (const StoredRun& run : dp_.stored) {
+      if (run.produced != cycle) continue;
       out_ << "          r" << run.reg << "(" << run.bits.width - 1
            << " downto 0) <= v_" << names_[run.node.index] << "("
            << run.bits.msb() << " downto " << run.bits.lo << ");\n";
@@ -259,9 +242,7 @@ private:
   unsigned latency_;
   std::vector<std::string> names_;
   std::vector<unsigned> cycle_of_;
-  std::vector<std::uint32_t> load_offsets_;  ///< CSR: loads of each cycle
-  std::vector<std::uint32_t> loads_;         ///< indices into dp_.stored
-  std::vector<Segment> segs_;                ///< operand_expr's scratch
+  std::vector<Segment> segs_;  ///< operand_expr's scratch
   /// The Add bit bit_source last found no source for.
   std::uint32_t missing_node_ = 0;
   unsigned missing_bit_ = 0;
