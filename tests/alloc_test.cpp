@@ -74,10 +74,22 @@ TEST(ColorIntervals, MatchesPairwiseFirstFitAcrossWordBoundaries) {
       {{0, 200}}, {{128, 128}, {64, 64}}, {{65, 127}}};
   EXPECT_EQ(color_intervals(fixed), naive_first_fit(fixed));
 
+  // More than 64 colors stacked on the same cycles, then items that fit
+  // around them.
+  std::vector<std::vector<std::pair<unsigned, unsigned>>> stacked(
+      140, {{7, 9}});
+  stacked.push_back({{0, 6}});
+  stacked.push_back({{8, 8}});
+  stacked.push_back({{10, 200}});
+  stacked.push_back({{9, 10}});
+  EXPECT_EQ(color_intervals(stacked), naive_first_fit(stacked));
+
   std::mt19937_64 rng(2024);
   for (int trial = 0; trial < 400; ++trial) {
-    const unsigned max_cycle = 1 + static_cast<unsigned>(rng() % 200);
-    const std::size_t items = 1 + rng() % 40;
+    // Odd trials crowd many items into few cycles, so colors pass 64.
+    const unsigned max_cycle =
+        1 + static_cast<unsigned>(rng() % (trial % 2 ? 8 : 200));
+    const std::size_t items = 1 + rng() % 150;
     std::vector<std::vector<std::pair<unsigned, unsigned>>> busy(items);
     for (auto& item : busy) {
       const std::size_t n = rng() % 4;  // items with no interval included
