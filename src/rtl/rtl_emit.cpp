@@ -53,7 +53,7 @@ public:
 private:
   /// Source of bit `bit` of node `node` as read in `cycle`; empty when it
   /// is an Add bit that neither this cycle computes nor a stored run holds
-  /// (that bit is recorded in missing_).
+  /// (recorded in missing_node_ and missing_bit_).
   std::optional<BitSource> bit_source(NodeId node, unsigned bit,
                                       unsigned cycle) {
     const Node& n = dfg_.node(node);
