@@ -49,9 +49,10 @@ struct MuxInstance {
 };
 
 /// One stored value slice: which bits of which node are held in which
-/// register, from the boundary after `produced` until `last_use`. The
-/// cycle-accurate datapath simulator uses this plan to verify that every
-/// cross-cycle value actually has storage.
+/// register, from the boundary after `produced` until `last_use`. The RTL
+/// netlist (rtl/netlist.hpp) loads the register in `produced` and reads
+/// every cross-cycle bit from the run holding it; a bit that no run holds
+/// is an error.
 struct StoredRun {
   NodeId node;
   BitRange bits;
@@ -61,9 +62,9 @@ struct StoredRun {
 };
 
 /// Datapath::stored bucketed by node (CSR), in Datapath::stored order within
-/// each node: the one "which register holds this bit in this cycle" lookup
-/// the RTL emitter and the cycle simulator share. Refers to `stored`, which
-/// must outlive the index.
+/// each node: the "which register holds this bit in this cycle" lookup of
+/// lower_rtl, whose one netlist the RTL emitter prints and the cycle
+/// simulator runs. Refers to `stored`, which must outlive the index.
 class StoredRunIndex {
 public:
   StoredRunIndex(const std::vector<StoredRun>& stored, std::size_t node_count);

@@ -72,11 +72,12 @@ std::vector<OutputValues> verify_pipelined_execution(
   }
 
   // Iterations are data-independent, so with the occupancy clean each one
-  // executes exactly as in isolation.
+  // executes exactly as in isolation: one netlist, run once per iteration.
+  const Netlist nl = lower_rtl(t, fs, dp);
   std::vector<OutputValues> out;
   out.reserve(inputs.size());
   for (const InputValues& in : inputs) {
-    out.push_back(simulate_datapath(t, fs, dp, in));
+    out.push_back(simulate_netlist(nl, t.spec, in));
   }
   return out;
 }

@@ -49,9 +49,9 @@ PipelineReport analyze_pipelining(const FragSchedule& fs, const Datapath& dp,
 /// `inputs` every `ii` cycles on a global timeline, rebuilding the FU and
 /// register occupancy cycle by cycle. Throws hls::Error on any structural
 /// collision (two iterations demanding one FU or register slot in the same
-/// cycle); otherwise returns each iteration's outputs (computed through the
-/// cycle-accurate datapath simulator, so register-plan discipline is checked
-/// per iteration as well).
+/// cycle); otherwise returns each iteration's outputs, each a run of the
+/// design's one lowered netlist (simulate_netlist), so register-plan
+/// discipline is checked per iteration as well.
 std::vector<OutputValues> verify_pipelined_execution(
     const TransformResult& t, const FragSchedule& fs, const Datapath& dp,
     const std::vector<InputValues>& inputs, unsigned ii);

@@ -1,147 +1,87 @@
 #include "rtl/cycle_sim.hpp"
 
+#include <bit>
+
 #include "support/strings.hpp"
 
 namespace hls {
 
-namespace {
-
-constexpr unsigned kNever = 0xFFFFFFFFu;
-
-class DatapathSim {
-public:
-  DatapathSim(const TransformResult& t, const FragSchedule& fs,
-              const Datapath& dp, const InputValues& inputs)
-      : dfg_(t.spec), runs_(dp.stored, t.spec.size()), latency_(t.latency) {
-    values_.assign(dfg_.size(), 0);
-    cycle_of_.assign(dfg_.size(), kNever);
-    for (const ScheduleRow& r : fs.schedule.rows) {
-      cycle_of_[r.op.index] = r.cycle;
+OutputValues simulate_netlist(const Netlist& nl, const Dfg& spec,
+                              const InputValues& inputs) {
+  // `word` with bits [lo, lo + width) replaced by the low bits of `v`.
+  const auto assign = [](std::uint64_t& word, const Statement& st,
+                         std::uint64_t v) {
+    const std::uint64_t m = truncate(~std::uint64_t{0}, st.width) << st.lo;
+    word = (word & ~m) | ((v << st.lo) & m);
+  };
+  // Per node: its value (ports included), the net bits assigned in this
+  // state and the bits the additions ever assigned.
+  std::vector<std::uint64_t> value(spec.size()), live(value), added(value);
+  std::vector<std::uint64_t> reg(nl.registers), loaded;
+  for (NodeId id : spec.inputs()) {
+    const Node& n = spec.node(id);
+    const auto it = inputs.find(n.name);
+    if (it == inputs.end()) {
+      throw Error("no value supplied for input port '" + n.name + "'");
     }
-    for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
-      const Node& n = dfg_.node(NodeId{i});
-      if (n.kind == OpKind::Input) {
-        auto it = inputs.find(n.name);
-        if (it == inputs.end()) {
-          throw Error("no value supplied for input port '" + n.name + "'");
-        }
-        values_[i] = truncate(it->second, n.width);
-        cycle_of_[i] = 0;  // ports are stable from the start
-      } else if (n.kind == OpKind::Const) {
-        values_[i] = truncate(n.value, n.width);
-      }
-    }
+    value[id.index] = truncate(it->second, n.width);
   }
-
-  OutputValues run() {
-    for (unsigned c = 0; c < latency_; ++c) {
-      for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
-        if (dfg_.node(NodeId{i}).kind == OpKind::Add && cycle_of_[i] == c) {
-          compute_add(NodeId{i}, c);
-        }
-      }
-    }
-    OutputValues out;
-    for (NodeId id : dfg_.outputs()) {
-      // Output ports latch bits the cycle they are produced (the paper
-      // excludes the dedicated port registers from the comparison), so no
-      // storage check applies here.
-      out[dfg_.node(id).name] =
-          operand_value(dfg_.node(id).operands[0], latency_, /*checked=*/false);
-    }
-    return out;
-  }
-
-private:
-  /// Value of one bit of `node` as seen from `use_cycle`. Walks through
-  /// glue/concat; for Add sources enforces the storage discipline.
-  std::uint64_t bit_value(NodeId node, unsigned bit, unsigned use_cycle,
-                          bool checked) {
-    const Node& n = dfg_.node(node);
-    switch (n.kind) {
-      case OpKind::Input:
-      case OpKind::Const:
-        return (values_[node.index] >> bit) & 1;
-      case OpKind::Add: {
-        const unsigned produced = cycle_of_[node.index];
-        if (produced == kNever || produced > use_cycle) {
-          throw Error(strformat(
-              "datapath reads bit %u of add %%%u in cycle %u, but it is "
-              "computed in cycle %s",
-              bit, node.index, use_cycle,
-              produced == kNever ? "never" : std::to_string(produced).c_str()));
-        }
-        if (checked && produced < use_cycle &&
-            runs_.covering(node, bit, use_cycle) == nullptr) {
-          throw Error(strformat(
-              "bit %u of add %%%u crosses from cycle %u to cycle %u without "
-              "register storage",
-              bit, node.index, produced, use_cycle));
-        }
-        return (values_[node.index] >> bit) & 1;
-      }
-      case OpKind::And:
-      case OpKind::Or:
-      case OpKind::Xor: {
-        const std::uint64_t a = operand_bit(n.operands[0], bit, use_cycle, checked);
-        const std::uint64_t b = operand_bit(n.operands[1], bit, use_cycle, checked);
-        if (n.kind == OpKind::And) return a & b;
-        if (n.kind == OpKind::Or) return a | b;
-        return a ^ b;
-      }
-      case OpKind::Not:
-        return 1 ^ operand_bit(n.operands[0], bit, use_cycle, checked);
-      case OpKind::Concat: {
-        unsigned base = 0;
-        for (const Operand& part : n.operands) {
-          if (bit < base + part.bits.width) {
-            return operand_bit(part, bit - base, use_cycle, checked);
-          }
-          base += part.bits.width;
-        }
-        return 0;
-      }
-      default:
-        throw Error("cycle simulation requires a kernel-form spec");
-    }
-  }
-
-  std::uint64_t operand_bit(const Operand& o, unsigned rel, unsigned use_cycle,
-                            bool checked) {
-    if (rel >= o.bits.width) return 0;  // zero extension
-    return bit_value(o.node, o.bits.lo + rel, use_cycle, checked);
-  }
-
-  std::uint64_t operand_value(const Operand& o, unsigned use_cycle, bool checked) {
+  unsigned state = 0;
+  const auto operand = [&](const Statement& st, unsigned k) {
     std::uint64_t v = 0;
-    for (unsigned b = 0; b < o.bits.width; ++b) {
-      v |= operand_bit(o, b, use_cycle, checked) << b;
+    for (std::uint32_t i = st.at[k], at = 0; i < st.at[k + 1];
+         at += nl.slices[i++].width) {
+      const Slice& s = nl.slices[i];
+      const std::uint64_t m = truncate(~std::uint64_t{0}, s.width);
+      const std::uint64_t unset =
+          s.kind == Slice::Net ? (~live[s.id] >> s.lo) & m : 0;
+      if (unset != 0) {
+        const unsigned bit = s.lo + std::countr_zero(unset);
+        throw Error(strformat("state %u reads bit %u of net %%%u unassigned",
+                              state, bit, s.id),
+                    ErrorContext{s.id, bit, state});
+      }
+      const std::uint64_t word = s.kind == Slice::Reg    ? reg[s.id]
+                                 : s.kind >= Slice::Port ? value[s.id]
+                                 : s.kind == Slice::One  ? ~std::uint64_t{0}
+                                                         : 0;
+      v |= ((word >> s.lo) & m) << at;
     }
     return v;
+  };
+  OutputValues out;
+  for (; state <= nl.states; ++state) {
+    // The port block also reads the additions' final values.
+    live = state == nl.states ? added : std::vector<std::uint64_t>(spec.size());
+    loaded = reg;
+    for (std::uint32_t i = nl.block[state]; i < nl.block[state + 1]; ++i) {
+      const Statement& st = nl.statements[i];
+      std::uint64_t v[3] = {0, 0, 0};
+      for (unsigned k = 0; k < st.operands; ++k) v[k] = operand(st, k);
+      if (st.kind == Statement::Load) {
+        assign(loaded[st.target], st, v[0]);
+      } else if (st.kind == Statement::Latch) {
+        out[spec.node(NodeId{st.target}).name] = v[0];
+      } else {
+        const OpKind op = spec.node(NodeId{st.target}).kind;
+        assign(value[st.target], st,
+               op == OpKind::Add   ? v[0] + v[1] + v[2]
+               : op == OpKind::And ? v[0] & v[1]
+               : op == OpKind::Or  ? v[0] | v[1]
+               : op == OpKind::Xor ? v[0] ^ v[1]
+                                   : ~v[0]);
+        assign(live[st.target], st, ~std::uint64_t{0});
+        if (op == OpKind::Add) added[st.target] = live[st.target];
+      }
+    }
+    reg = loaded;  // register loads take effect at the state's end
   }
-
-  void compute_add(NodeId id, unsigned cycle) {
-    const Node& n = dfg_.node(id);
-    const std::uint64_t a = operand_value(n.operands[0], cycle, true);
-    const std::uint64_t b = operand_value(n.operands[1], cycle, true);
-    const std::uint64_t cin =
-        n.has_carry_in() ? operand_value(n.operands[2], cycle, true) : 0;
-    values_[id.index] = truncate(a + b + cin, n.width);
-  }
-
-  const Dfg& dfg_;
-  const StoredRunIndex runs_;  ///< the register plan, bucketed by node
-  unsigned latency_;
-  std::vector<std::uint64_t> values_;
-  std::vector<unsigned> cycle_of_;
-};
-
-} // namespace
+  return out;
+}
 
 OutputValues simulate_datapath(const TransformResult& t, const FragSchedule& fs,
                                const Datapath& dp, const InputValues& inputs) {
-  DatapathSim sim(t, fs, dp, inputs);
-  return sim.run();
+  return simulate_netlist(lower_rtl(t, fs, dp), t.spec, inputs);
 }
 
 } // namespace hls

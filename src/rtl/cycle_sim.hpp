@@ -1,27 +1,26 @@
 #pragma once
-// Cycle-accurate datapath simulation.
-//
-// Executes a fragmented schedule the way the synthesized RTL would: cycle by
-// cycle, with values living only in (a) the primary input ports, (b) the
-// current cycle's combinational nets, and (c) the registers the bit-level
-// allocator planned (Datapath::stored). A bit consumed in a later cycle than
-// it was produced MUST be covered by a stored run that is still live —
-// otherwise the datapath would read garbage, and the simulator throws.
-//
-// This closes the verification loop: evaluator (specification semantics)
-// == cycle simulation (schedule + binding + register plan semantics) is the
-// strongest end-to-end property the test suite checks.
+// Cycle-accurate simulation: an interpreter of the lowered RTL netlist
+// (rtl/netlist.hpp), so it runs exactly the statements emit_rtl_vhdl prints,
+// with VHDL semantics: a state's statements in order, a variable bit read
+// only after a statement of its state assigned it, register loads at the
+// state's end. evaluate == simulate_datapath thus certifies the printed
+// additions, glue and register loads on the vectors run. Not the output
+// ports: the printed RTL latches a port only in a state where all its bits
+// resolve, which many ports never reach, so the unprinted port block reads
+// them from the additions' final values.
 
-#include "alloc/datapath.hpp"
-#include "frag/transform.hpp"
 #include "ir/eval.hpp"
-#include "sched/fragsched.hpp"
+#include "rtl/netlist.hpp"
 
 namespace hls {
 
-/// Simulates the schedule against the register plan. Throws hls::Error when
-/// a cross-cycle value has no live register coverage, when a value is read
-/// before it is computed, or when an input port value is missing.
+/// Runs `nl`, lowered from a transform of `spec`, from reset. Throws
+/// hls::Error for an input port without a value, or with ErrorContext{node,
+/// bit, state} for a net bit read before its state assigned it.
+OutputValues simulate_netlist(const Netlist& nl, const Dfg& spec,
+                              const InputValues& inputs);
+
+/// simulate_netlist(lower_rtl(t, fs, dp), t.spec, inputs).
 OutputValues simulate_datapath(const TransformResult& t, const FragSchedule& fs,
                                const Datapath& dp, const InputValues& inputs);
 

@@ -19,9 +19,14 @@ namespace hls {
 /// when nothing is left.
 std::string sanitize_id(std::string_view s, std::string_view fallback);
 
-/// One distinct identifier per node, indexed by node: the sanitized node
-/// name ("n<index>" when it sanitizes to nothing), suffixed with
-/// "_<index>" until it differs from every lower-indexed node's identifier.
+/// One identifier per node, indexed by node: the sanitized node name
+/// ("n<index>" when it sanitizes to nothing), suffixed with "_<index>" until
+/// it is free. Free means, compared case-insensitively as VHDL compares
+/// identifiers: no VHDL reserved word; none of the names the emitted VHDL
+/// declares or uses itself (clk, rst, done, state, r<k>, the process and
+/// testbench labels, the ieee names); no lower-indexed node's identifier;
+/// and no clash through the RTL's derived names v_<id> of additions and glue
+/// and <id>_r of output ports.
 std::vector<std::string> node_names(const Dfg& dfg);
 
 } // namespace hls

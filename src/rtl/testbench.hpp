@@ -2,11 +2,15 @@
 // VHDL testbench generator.
 //
 // Emits a self-checking testbench for the structural RTL of emit_rtl_vhdl():
-// it drives the input ports with the supplied vectors, waits the schedule's
+// it drives the input ports with seeded vectors, waits the schedule's
 // latency, and asserts the output ports against expected values computed by
-// the reference evaluator. Together with emit_rtl_vhdl() this gives a
-// complete, simulator-ready verification package for the synthesized design
-// (the in-repo equivalent is simulate_datapath, which the test suite runs).
+// the reference evaluator. Its port map names the entity's ports through the
+// same node_names. simulate_datapath, which the test suite runs, executes
+// the RTL's printed additions, glue and register loads but reads the output
+// ports from the additions' final values. The printed RTL latches a port
+// only in a state where all of its bits resolve, so on designs where some
+// port never gets there these assertions fail until output latching is
+// completed.
 
 #include <string>
 #include <vector>

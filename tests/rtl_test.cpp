@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "ir/builder.hpp"
@@ -212,27 +214,82 @@ std::vector<std::string> port_map_formals(const std::string& tb) {
   return formals;
 }
 
+/// Every identifier the RTL declares (entity ports, signals, process
+/// variables), checked to be distinct case-insensitively, as VHDL compares
+/// identifiers.
+void expect_distinct_declarations(const std::string& rtl,
+                                  const std::string& where) {
+  std::vector<std::string> names = entity_ports(rtl);
+  std::istringstream in(rtl.substr(rtl.find("architecture ")));
+  std::string line;
+  while (std::getline(in, line)) {
+    for (const std::string kind : {"  signal ", "    variable "}) {
+      if (line.rfind(kind, 0) == 0) {
+        names.push_back(line.substr(kind.size(), line.find(':') - kind.size()));
+      }
+    }
+  }
+  std::set<std::string> seen;
+  for (std::string name : names) {
+    for (char& c : name) c = static_cast<char>(std::tolower(c));
+    EXPECT_TRUE(seen.insert(name).second) << where << ": " << name;
+  }
+}
+
+/// The entity's ports, checked against the testbench's port map and for
+/// distinct declarations.
+std::vector<std::string> checked_ports(const FlowResult& o,
+                                       const std::string& where) {
+  const std::string rtl =
+      emit_rtl_vhdl(*o.transform, *o.schedule, o.report.datapath);
+  expect_distinct_declarations(rtl, where);
+  const std::vector<std::string> ports = entity_ports(rtl);
+  EXPECT_EQ(port_map_formals(emit_testbench(*o.transform, 1, 3)), ports)
+      << where;
+  return ports;
+}
+
 TEST(Testbench, PortMapNamesTheEntitysPorts) {
   // "a" and "a_" sanitize to the same identifier; the RTL entity declares
   // them as a and a_1, and the testbench must map exactly those ports.
   SpecBuilder b("clash");
   const Val a = b.in("a", 8), a_ = b.in("a_", 8);
   b.out("s", a + a_);
-  const FlowResult o = testutil::run_optimized(std::move(b).take(), 2);
-  const std::string rtl =
-      emit_rtl_vhdl(*o.transform, *o.schedule, o.report.datapath);
-  const std::vector<std::string> ports = entity_ports(rtl);
-  EXPECT_EQ(ports, (std::vector<std::string>{"clk", "rst", "a", "a_1", "s",
-                                             "done"}));
-  EXPECT_EQ(port_map_formals(emit_testbench(*o.transform, 1, 3)), ports);
+  EXPECT_EQ(checked_ports(testutil::run_optimized(std::move(b).take(), 2),
+                          "clash"),
+            (std::vector<std::string>{"clk", "rst", "a", "a_1", "s", "done"}));
 
+  // Ports named like the RTL's own clk, done, register r0 and output latch
+  // G_r are renamed, and so are reserved words.
+  SpecBuilder own("own");
+  const Val clk = own.in("clk", 8), r0 = own.in("r0", 8);
+  const Val g_r = own.in("G_r", 8);
+  own.out("G", clk + r0);
+  own.out("done", g_r + clk);
+  // (The suffix is the node's index in the transformed spec.)
+  EXPECT_EQ(checked_ports(testutil::run_optimized(std::move(own).take(), 2),
+                          "own"),
+            (std::vector<std::string>{"clk", "rst", "clk_0", "r0_1", "G_r",
+                                      "G_6", "done_10", "done"}));
+  SpecBuilder words("words");
+  const Val sig = words.in("signal", 8), end = words.in("end", 8);
+  words.out("out", sig + end);
+  EXPECT_EQ(checked_ports(testutil::run_optimized(std::move(words).take(), 2),
+                          "words"),
+            (std::vector<std::string>{"clk", "rst", "signal_0", "end_1",
+                                      "out_5", "done"}));
+
+  // dct4 reads x0..x3 and writes X0..X3: one identifier each.
+  const Dfg dct = dct4();
+  for (const unsigned latency : {4u, 3u, 2u}) {
+    const std::vector<std::string> ports =
+        checked_ports(testutil::run_optimized(dct, latency),
+                      "dct4 L" + std::to_string(latency));
+    EXPECT_EQ(ports.size(), 11u);
+  }
   for (const SuiteEntry& s : registry_suites()) {
-    const FlowResult r =
-        testutil::run_optimized(s.build(), s.latencies.front());
-    EXPECT_EQ(port_map_formals(emit_testbench(*r.transform, 1, 1)),
-              entity_ports(emit_rtl_vhdl(*r.transform, *r.schedule,
-                                         r.report.datapath)))
-        << s.name;
+    checked_ports(testutil::run_optimized(s.build(), s.latencies.front()),
+                  s.name);
   }
 }
 
