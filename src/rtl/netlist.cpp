@@ -20,9 +20,8 @@ public:
       : dfg_(t.spec), dp_(dp), rows_(fs.schedule.rows),
         runs_(dp.stored, t.spec.size()), outputs_(t.spec.outputs()),
         cycle_of_(t.spec.size(), kNever), need_(t.spec.size()),
-        base_(t.spec.size() + 1) {
-    nl_.states = t.latency;
-    nl_.registers = static_cast<unsigned>(dp.regs.size());
+        base_(t.spec.size() + 1),
+        nl_{t.latency, static_cast<unsigned>(dp.regs.size())} {
     for (const ScheduleRow& r : rows_) cycle_of_[r.op.index] = r.cycle;
     for (std::uint32_t i = 0; i < dfg_.size(); ++i) {
       const Node& n = dfg_.node(NodeId{i});
@@ -73,6 +72,8 @@ public:
                             latches_.end());
     }
     nl_.block.push_back(static_cast<std::uint32_t>(nl_.statements.size()));
+    nl_.statements.shrink_to_fit();  // it is held while it prints
+    nl_.slices.shrink_to_fit();
     return std::move(nl_);
   }
 

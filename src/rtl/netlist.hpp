@@ -40,9 +40,9 @@ struct Netlist {
   unsigned states = 0;     ///< FSM states (the schedule's latency)
   unsigned registers = 0;  ///< Datapath::regs.size()
   /// statements[block[s], block[s + 1]): state s; s == states: port block.
-  std::vector<std::uint32_t> block;
-  std::vector<Statement> statements;
-  std::vector<Slice> slices;
+  std::vector<std::uint32_t> block{};
+  std::vector<Statement> statements{};
+  std::vector<Slice> slices{};
 };
 
 /// Throws hls::Error with ErrorContext{node, bit, cycle} when a state reads

@@ -36,7 +36,6 @@ std::string emit_rtl_vhdl(const TransformResult& t, const FragSchedule& fs,
   const Netlist nl = lower_rtl(t, fs, dp);
   const Dfg& dfg = t.spec;
   const std::vector<std::string> names = node_names(dfg);
-  const std::vector<NodeId> outputs = dfg.outputs();
   Text os;
   // Operand k of `st`, MSB-first, parenthesized when it has several slices.
   const auto operand = [&](const Statement& st, unsigned k) {
@@ -89,7 +88,7 @@ std::string emit_rtl_vhdl(const TransformResult& t, const FragSchedule& fs,
      << "use ieee.numeric_std.all;\n\nentity " << entity << " is\n"
      << "port (clk: in std_logic;\n      rst: in std_logic;\n";
   for (const auto& [ports, mode] : {std::pair{dfg.inputs(), ": in "},
-                                     std::pair{outputs, ": out "}}) {
+                                     std::pair{dfg.outputs(), ": out "}}) {
     for (NodeId id : ports) {
       declare(os << "      " << names[id.index] << mode, dfg.node(id).width);
     }
@@ -100,11 +99,11 @@ std::string emit_rtl_vhdl(const TransformResult& t, const FragSchedule& fs,
   for (std::size_t r = 0; r < dp.regs.size(); ++r) {
     declare(os << "  signal r" << r << ": ", dp.regs[r].width);
   }
-  for (NodeId id : outputs) {
+  for (NodeId id : dfg.outputs()) {
     declare(os << "  signal " << names[id.index] << "_r: ", dfg.node(id).width);
   }
   os << "begin\n";
-  for (NodeId id : outputs) {
+  for (NodeId id : dfg.outputs()) {
     os << "  " << names[id.index] << " <= " << names[id.index] << "_r;\n";
   }
   os << "  done <= '1' when state = " << nl.states - 1 << " else '0';\n\n"
