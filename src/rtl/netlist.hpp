@@ -31,7 +31,7 @@ struct Slice {
 struct Statement {
   enum Kind : std::uint8_t { Net, Load, Latch } kind = Net;
   std::uint32_t target = 0;  ///< node (Net, Latch) or register (Load)
-  unsigned lo : 8 = 0, width : 8 = 0, operands : 8 = 0;  // values <= 64
+  unsigned lo : 8 = 0, width : 8 = 0, operands : 8 = 0;  ///< each <= 64
   /// Operand k is Netlist::slices[at[k], at[k + 1]), `width` bits in all.
   std::array<std::uint32_t, 4> at{};
 };
