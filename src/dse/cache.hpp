@@ -223,8 +223,9 @@ private:
   /// `keep` (the entry just inserted). Caller holds the shard lock.
   void evict_locked(Shard& shard);
 
-  // The public getters hash the spec exactly once and delegate here; the
-  // chained stage lookups below all reuse that digest.
+  // Each public getter takes digest_of(spec) once and delegates here; the
+  // chained stage lookups below all reuse it. digest_of memoizes the digest
+  // in the Dfg, so only the first getter on a spec object hashes it.
   std::shared_ptr<const KernelArtifact> kernel_at(const Digest& d,
                                                   const Dfg& spec);
   std::shared_ptr<const Dfg> narrowed_at(const Digest& d, const Dfg& spec);

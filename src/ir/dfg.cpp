@@ -50,6 +50,7 @@ void Dfg::check_node(const Node& n) const {
 NodeId Dfg::add_node(Node n) {
   check_node(n);
   nodes_.push_back(std::move(n));
+  digest_.clear();
   return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 

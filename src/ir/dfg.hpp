@@ -7,6 +7,7 @@
 // expressed without separate slice nodes. The node vector is always in
 // topological order: an operand may only reference an earlier node.
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -17,6 +18,8 @@
 #include "support/error.hpp"
 
 namespace hls {
+
+struct Digest;  // ir/hash.hpp
 
 /// Strongly-typed index of a node within its Dfg.
 struct NodeId {
@@ -69,7 +72,10 @@ public:
   explicit Dfg(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
+  void set_name(std::string n) {
+    name_ = std::move(n);
+    digest_.clear();
+  }
 
   std::size_t size() const { return nodes_.size(); }
   const Node& node(NodeId id) const {
@@ -86,6 +92,7 @@ public:
   void rename_node(NodeId id, std::string name) {
     HLS_ASSERT(id.index < nodes_.size(), "NodeId out of range");
     nodes_[id.index].name = std::move(name);
+    digest_.clear();
   }
 
   // Convenience constructors -------------------------------------------------
@@ -129,10 +136,66 @@ public:
   void verify() const;
 
 private:
+  friend Digest digest_of(const Dfg& dfg);
+
+  /// Memo of digest_of(*this): the digest's two words, valid while `set_`
+  /// holds. digest_of fills it on first use and every mutator drops it, so
+  /// each graph object is hashed once however many cache lookups key on
+  /// it. Copies carry it and a moved-from memo is empty. Concurrent
+  /// digest_of calls on one const Dfg may all fill it: they store the same
+  /// words, and a reader that sees `set_` (acquire) sees them. Every
+  /// member is noexcept, so Dfg's implicit moves stay noexcept.
+  class DigestMemo {
+  public:
+    DigestMemo() noexcept = default;
+    DigestMemo(const DigestMemo& other) noexcept { assign(other); }
+    DigestMemo(DigestMemo&& other) noexcept {
+      assign(other);
+      other.clear();
+    }
+    DigestMemo& operator=(const DigestMemo& other) noexcept {
+      assign(other);
+      return *this;
+    }
+    DigestMemo& operator=(DigestMemo&& other) noexcept {
+      assign(other);
+      other.clear();
+      return *this;
+    }
+
+    bool get(std::uint64_t& a, std::uint64_t& b) const noexcept {
+      if (!set_.load(std::memory_order_acquire)) return false;
+      a = a_.load(std::memory_order_relaxed);
+      b = b_.load(std::memory_order_relaxed);
+      return true;
+    }
+    void put(std::uint64_t a, std::uint64_t b) const noexcept {
+      a_.store(a, std::memory_order_relaxed);
+      b_.store(b, std::memory_order_relaxed);
+      set_.store(true, std::memory_order_release);
+    }
+    /// Called by mutators only, which hold the graph exclusively.
+    void clear() noexcept { set_.store(false, std::memory_order_relaxed); }
+
+  private:
+    void assign(const DigestMemo& other) noexcept {
+      std::uint64_t a = 0, b = 0;
+      if (other.get(a, b)) {
+        put(a, b);
+      } else {
+        clear();
+      }
+    }
+
+    mutable std::atomic<std::uint64_t> a_{0}, b_{0};
+    mutable std::atomic<bool> set_{false};
+  };
+
   void check_node(const Node& n) const;
 
   std::string name_;
   std::vector<Node> nodes_;
+  DigestMemo digest_;
 };
 
 } // namespace hls

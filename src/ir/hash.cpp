@@ -40,6 +40,7 @@ void Digest::mix_double(double v) {
 
 Digest digest_of(const Dfg& dfg) {
   Digest d;
+  if (dfg.digest_.get(d.a, d.b)) return d;
   d.mix_bytes(dfg.name().data(), dfg.name().size());
   d.mix(dfg.size());
   for (const Node& n : dfg.nodes()) {
@@ -55,6 +56,7 @@ Digest digest_of(const Dfg& dfg) {
       d.mix(o.bits.width);
     }
   }
+  dfg.digest_.put(d.a, d.b);
   return d;
 }
 

@@ -37,7 +37,13 @@ struct Digest {
   friend auto operator<=>(const Digest&, const Digest&) = default;
 };
 
-/// Content digest of a specification. Pure; linear in the node count.
+/// Content digest of a specification. The value is a pure function of the
+/// graph's content. The first call on a graph object hashes it, linear in
+/// the node count, and memoizes the result in the object; later calls
+/// return the memo in O(1) until a mutator (add_node and the add_*
+/// helpers, set_name, rename_node) drops it. Copies carry the memo and a
+/// moved-from graph loses it. Safe to call from many threads on one const
+/// Dfg.
 Digest digest_of(const Dfg& dfg);
 
 } // namespace hls

@@ -69,7 +69,12 @@ std::string sanitize_id(std::string_view s, std::string_view fallback) {
     }
   }
   while (!out.empty() && out.back() == '_') out.pop_back();
-  return out.empty() ? std::string(fallback) : out;
+  if (out.empty()) return std::string(fallback);
+  // A basic identifier starts with a letter.
+  if (std::isdigit(static_cast<unsigned char>(out.front()))) {
+    out.insert(0, 1, 'n');
+  }
+  return out;
 }
 
 std::vector<std::string> node_names(const Dfg& dfg) {

@@ -15,8 +15,9 @@
 namespace hls {
 
 /// `s` as a VHDL basic identifier: alphanumerics kept, every run of other
-/// characters collapsed to one '_', none leading or trailing; `fallback`
-/// when nothing is left.
+/// characters collapsed to one '_', none leading or trailing, and an 'n'
+/// prefixed when the result would start with a digit; `fallback` when
+/// nothing is left.
 std::string sanitize_id(std::string_view s, std::string_view fallback);
 
 /// One identifier per node, indexed by node: the sanitized node name

@@ -1,15 +1,17 @@
-// Tests for the dse/ subsystem: Dfg content digests, the ArtifactCache
-// (hit/miss accounting, cross-target artefact sharing, the bit-identical
-// cached-replay contract) and the Explorer (request validation, Pareto
-// dominance consistency across registry suites and seeds, §3.2 bound
-// pruning with its non-silent report, point budgets, objective weights,
-// and the JSON/CSV renderings including the committed golden).
+// Tests for the dse/ subsystem: Dfg content digests and their per-object
+// memo, the ArtifactCache (hit/miss accounting, cross-target artefact
+// sharing, the bit-identical cached-replay contract) and the Explorer
+// (request validation, Pareto dominance consistency across registry suites
+// and seeds, §3.2 bound pruning with its non-silent report, point budgets,
+// objective weights, and the JSON/CSV renderings including the committed
+// golden).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -46,6 +48,125 @@ TEST(Digest, StructureNamesAndSeedsAllCount) {
   Dfg retitled = motivational();
   retitled.set_name("other");
   EXPECT_NE(base, digest_of(retitled));
+}
+
+// The memo contract (ir/hash.hpp): digest_of memoizes the digest in the
+// graph object, every mutator drops it, copies carry it and a move empties
+// its source. The graphs below are hashed before they change, so a missed
+// invalidation reads as a stale digest.
+
+/// The digest a graph with `g`'s content reports when built fresh, without
+/// reading or filling `g`'s memo.
+Digest rehashed(const Dfg& g) {
+  Dfg fresh(g.name());
+  for (const Node& n : g.nodes()) fresh.add_node(n);
+  return digest_of(fresh);
+}
+
+TEST(Digest, EveryMutatorDropsTheMemo) {
+  // One construction sequence through every mutator, one edit per entry.
+  const std::vector<std::function<void(Dfg&)>> edits = {
+      [](Dfg& g) { g.add_input("A", 8); },
+      [](Dfg& g) { g.add_input("B", 8); },
+      [](Dfg& g) { g.add_const(3, 8); },
+      [](Dfg& g) {
+        g.add_op(OpKind::Add, 8, g.whole(NodeId{0}), g.whole(NodeId{1}));
+      },
+      [](Dfg& g) {
+        g.add_add_cin(8, g.whole(NodeId{3}), g.whole(NodeId{2}),
+                      g.bit(NodeId{0}, 0));
+      },
+      [](Dfg& g) {
+        g.add_concat({g.slice(NodeId{4}, 3, 0), g.slice(NodeId{1}, 7, 4)});
+      },
+      [](Dfg& g) { g.add_output("S", g.whole(NodeId{5})); },
+      [](Dfg& g) { g.set_name("renamed"); },
+      [](Dfg& g) { g.rename_node(NodeId{3}, "sum"); },
+  };
+  Dfg g("memo");
+  Digest before = digest_of(g);
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    edits[i](g);
+    Dfg fresh("memo");
+    for (std::size_t j = 0; j <= i; ++j) edits[j](fresh);
+    const Digest after = digest_of(g);  // refills the memo for edit i + 1
+    EXPECT_EQ(after, digest_of(fresh)) << "edit " << i;
+    EXPECT_NE(after, before) << "edit " << i;
+    before = after;
+  }
+}
+
+TEST(Digest, CopiesCarryTheMemoAndDivergeAfterTheirOwnEdit) {
+  const Dfg original = motivational();
+  const Digest base = digest_of(original);
+  Dfg copy = original;
+  EXPECT_EQ(digest_of(copy), base);
+  copy.rename_node(copy.operations().front(), "relabelled");
+  EXPECT_NE(digest_of(copy), base);
+  EXPECT_EQ(digest_of(copy), rehashed(copy));
+  EXPECT_EQ(digest_of(original), base);
+}
+
+TEST(Digest, AssignedGraphsReportTheirNewContent) {
+  // From a hashed source (the memo travels) and from an unhashed one (the
+  // target's old memo must not survive), by copy and by move.
+  for (const bool hash_source : {true, false}) {
+    SCOPED_TRACE(hash_source ? "hashed source" : "unhashed source");
+    const Dfg source = diffeq();
+    const Digest want = rehashed(source);
+    if (hash_source) (void)digest_of(source);
+
+    Dfg copied = motivational();
+    (void)digest_of(copied);
+    copied = source;
+    EXPECT_EQ(digest_of(copied), want);
+
+    Dfg moved = motivational();
+    (void)digest_of(moved);
+    Dfg temp = source;
+    moved = std::move(temp);
+    EXPECT_EQ(digest_of(moved), want);
+  }
+}
+
+TEST(Digest, MovedFromGraphNeverReportsItsOldDigest) {
+  Dfg constructed_from = motivational();
+  const Digest base = digest_of(constructed_from);
+  const Dfg target(std::move(constructed_from));
+  EXPECT_EQ(digest_of(target), base);
+
+  Dfg assigned_from = motivational();
+  (void)digest_of(assigned_from);
+  Dfg assigned = fig3_dfg();
+  assigned = std::move(assigned_from);
+  EXPECT_EQ(digest_of(assigned), base);
+
+  // Valid but unspecified content: whatever is left hashes as itself.
+  for (const Dfg* g : {&constructed_from, &assigned_from}) {
+    EXPECT_NE(digest_of(*g), base);
+    EXPECT_EQ(digest_of(*g), rehashed(*g));
+  }
+}
+
+TEST(Digest, ConcurrentFirstHashesAllSeeTheFreshValue) {
+  const Dfg spec = elliptic();  // never hashed before the threads start
+  const Digest want = rehashed(spec);
+  constexpr unsigned kThreads = 8;
+  std::vector<Digest> seen(kThreads);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = digest_of(spec);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], want) << "thread " << t;
+  }
+  EXPECT_EQ(digest_of(spec), want);
 }
 
 // --- ArtifactCache -----------------------------------------------------------

@@ -2,14 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "alloc/datapath.hpp"
+#include "flow/session.hpp"
+#include "frag/transform.hpp"
 #include "ir/builder.hpp"
 #include "ir/dfg.hpp"
 #include "ir/dfg_index.hpp"
 #include "ir/eval.hpp"
 #include "ir/print.hpp"
+#include "sched/fragsched.hpp"
 
 namespace hls {
 namespace {
+
+// Graphs, artefacts and results live in growing std::vectors (batch and
+// sweep results, Explorer points). A move that may throw makes every
+// growth deep-copy the elements instead, so each of these must stay
+// nothrow-movable, Dfg's digest memo included.
+template <typename T>
+constexpr bool kNothrowMovable = std::is_nothrow_move_constructible_v<T> &&
+                                 std::is_nothrow_move_assignable_v<T>;
+static_assert(kNothrowMovable<Dfg>);
+static_assert(kNothrowMovable<TransformResult>);
+static_assert(kNothrowMovable<FragSchedule>);
+static_assert(kNothrowMovable<Datapath>);
+static_assert(kNothrowMovable<FlowRequest>);
+static_assert(kNothrowMovable<FlowResult>);
 
 // The paper's motivational example (Fig. 1 a): C = A+B; E = C+D; G = E+F.
 Dfg motivational() {

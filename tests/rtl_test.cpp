@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <random>
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -236,16 +237,39 @@ void expect_distinct_declarations(const std::string& rtl,
   }
 }
 
+/// Every identifier a VHDL text declares (entity and architecture names,
+/// ports, signals, variables and labels), checked to be a basic identifier
+/// that starts with a letter.
+void expect_declarations_start_with_letters(const std::string& vhdl,
+                                            const std::string& where) {
+  static const std::regex declaration(
+      R"(entity (\w+) is|architecture (\w+) of (\w+) is|)"
+      R"((?:signal|variable) (\w+):|(\w+): (?:in|out|process|entity)\b)");
+  for (std::sregex_iterator m(vhdl.begin(), vhdl.end(), declaration), end;
+       m != end; ++m) {
+    for (std::size_t g = 1; g < m->size(); ++g) {
+      const std::string id = (*m)[g].str();
+      if (id.empty()) continue;
+      EXPECT_TRUE(std::isalpha(static_cast<unsigned char>(id.front())))
+          << where << ": " << id;
+    }
+  }
+}
+
 /// The entity's ports, checked against the testbench's port map and for
-/// distinct declarations.
+/// distinct declarations. Every identifier the RTL, its testbench and the
+/// behavioural VHDL of the transformed spec declare starts with a letter.
 std::vector<std::string> checked_ports(const FlowResult& o,
                                        const std::string& where) {
   const std::string rtl =
       emit_rtl_vhdl(*o.transform, *o.schedule, o.report.datapath);
+  const std::string tb = emit_testbench(*o.transform, 1, 3);
   expect_distinct_declarations(rtl, where);
+  expect_declarations_start_with_letters(rtl, where);
+  expect_declarations_start_with_letters(tb, where);
+  expect_declarations_start_with_letters(emit_vhdl(o.transform->spec), where);
   const std::vector<std::string> ports = entity_ports(rtl);
-  EXPECT_EQ(port_map_formals(emit_testbench(*o.transform, 1, 3)), ports)
-      << where;
+  EXPECT_EQ(port_map_formals(tb), ports) << where;
   return ports;
 }
 
@@ -278,6 +302,16 @@ TEST(Testbench, PortMapNamesTheEntitysPorts) {
                           "words"),
             (std::vector<std::string>{"clk", "rst", "signal_0", "end_1",
                                       "out_5", "done"}));
+
+  // A basic identifier starts with a letter: leading digits of the design,
+  // port and node names get an 'n' prefix.
+  SpecBuilder digits("9lives");
+  const Val x2 = digits.in("2x", 8), seven = digits.in("7", 8);
+  digits.out("3out", x2 + seven);
+  EXPECT_EQ(checked_ports(testutil::run_optimized(std::move(digits).take(), 2),
+                          "digits"),
+            (std::vector<std::string>{"clk", "rst", "n2x", "n7", "n3out",
+                                      "done"}));
 
   // dct4 reads x0..x3 and writes X0..X3: one identifier each.
   const Dfg dct = dct4();
