@@ -17,12 +17,19 @@ SourceKey key_of(const Operand& o) {
 }
 
 /// Resolves an operand through glue/concat wiring to the operation or input
-/// nodes that actually produce its bits.
-void collect_sources(const Dfg& dfg, const Operand& o,
+/// nodes that actually produce its bits. A node already stamped `walk` was
+/// reached earlier in the same walk and is skipped, so reconvergent glue is
+/// expanded once per walk and each source listed once.
+void collect_sources(const Dfg& dfg, const Operand& o, std::uint32_t walk,
+                     std::vector<std::uint32_t>& stamp,
                      std::vector<NodeId>& out) {
+  if (stamp[o.node.index] == walk) return;
+  stamp[o.node.index] = walk;
   const Node& p = dfg.node(o.node);
   if (is_glue(p.kind) || p.kind == OpKind::Concat) {
-    for (const Operand& q : p.operands) collect_sources(dfg, q, out);
+    for (const Operand& q : p.operands) {
+      collect_sources(dfg, q, walk, stamp, out);
+    }
   } else {
     out.push_back(o.node);
   }
@@ -117,10 +124,13 @@ Datapath allocate_oplevel(const Dfg& spec, const OpSchedule& s) {
   // consumer needs u held (a multicycle consumer holds operands through its
   // whole span).
   std::map<std::uint32_t, unsigned> last_use;
+  std::vector<std::uint32_t> stamp(spec.size(), 0);
+  std::uint32_t walk = 0;
   for (const OpSpan& sp : s.spans) {
+    ++walk;
     std::vector<NodeId> sources;
     for (const Operand& o : spec.node(sp.op).operands) {
-      collect_sources(spec, o, sources);
+      collect_sources(spec, o, walk, stamp, sources);
     }
     for (NodeId u : sources) {
       const OpKind k = spec.node(u).kind;

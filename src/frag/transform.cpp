@@ -1,7 +1,6 @@
 #include "frag/transform.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "timing/critical_path.hpp"
 
@@ -21,7 +20,7 @@ Operand subslice(const Operand& o, unsigned lo, unsigned hi) {
 class Materializer {
 public:
   Materializer(const Dfg& kernel, const std::vector<Fragment>& fragments)
-      : in_(kernel), out_(kernel.name() + ".opt") {
+      : in_(kernel), out_(kernel.name() + ".opt"), frags_by_op_(kernel.size()) {
     for (const Fragment& f : fragments) frags_by_op_[f.op.index].push_back(f);
   }
 
@@ -41,7 +40,7 @@ private:
   const Dfg& in_;
   Dfg out_;
   std::vector<NodeId> map_;
-  std::map<std::uint32_t, std::vector<Fragment>> frags_by_op_;
+  std::vector<std::vector<Fragment>> frags_by_op_;  ///< per kernel node
 };
 
 NodeId Materializer::copy_node(const Node& n) {
@@ -131,7 +130,8 @@ TransformResult Materializer::run(unsigned latency, unsigned n_bits,
       map_[idx] = copy_node(n);
       continue;
     }
-    const std::vector<Fragment>& frags = frags_by_op_.at(idx);
+    const std::vector<Fragment>& frags = frags_by_op_[idx];
+    HLS_ASSERT(!frags.empty(), "every add has at least one fragment");
     if (frags.size() == 1) {
       const NodeId copied = copy_node(n);
       map_[idx] = copied;

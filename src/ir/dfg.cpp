@@ -6,7 +6,7 @@
 
 namespace hls {
 
-void Dfg::check_node(const Node& n) const {
+void Dfg::check_node(const Node& n, std::size_t prefix) const {
   HLS_REQUIRE(n.width > 0, "node width must be positive (node '" + n.name + "')");
   HLS_REQUIRE(n.width <= 64, "node width must be <= 64 for evaluability");
 
@@ -34,7 +34,7 @@ void Dfg::check_node(const Node& n) const {
   }
 
   for (const Operand& o : n.operands) {
-    HLS_REQUIRE(o.node.valid() && o.node.index < nodes_.size(),
+    HLS_REQUIRE(o.node.valid() && o.node.index < prefix,
                 "operand references a node that does not exist yet "
                 "(topological order violated?)");
     const Node& producer = nodes_[o.node.index];
@@ -48,7 +48,7 @@ void Dfg::check_node(const Node& n) const {
 }
 
 NodeId Dfg::add_node(Node n) {
-  check_node(n);
+  check_node(n, nodes_.size());
   nodes_.push_back(std::move(n));
   digest_.clear();
   return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
@@ -168,11 +168,7 @@ std::size_t Dfg::additive_op_count() const {
 }
 
 void Dfg::verify() const {
-  Dfg scratch(name_);
-  for (const Node& n : nodes_) {
-    scratch.check_node(n);
-    scratch.nodes_.push_back(n);
-  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) check_node(nodes_[i], i);
 }
 
 } // namespace hls

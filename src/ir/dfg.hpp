@@ -132,7 +132,8 @@ public:
   std::size_t additive_op_count() const;
 
   /// Rechecks every structural invariant (topological operand order, slice
-  /// bounds, arity, widths). Throws hls::Error with a description on failure.
+  /// bounds, arity, widths) in place, each node against the nodes before it
+  /// as add_node checked it. Throws hls::Error with a description on failure.
   void verify() const;
 
 private:
@@ -191,7 +192,8 @@ private:
     mutable std::atomic<bool> set_{false};
   };
 
-  void check_node(const Node& n) const;
+  /// Validates `n` as if appended after the first `prefix` nodes.
+  void check_node(const Node& n, std::size_t prefix) const;
 
   std::string name_;
   std::vector<Node> nodes_;

@@ -30,6 +30,8 @@ SchedulerCore::SchedulerCore(const TransformResult& t, SchedulerOptions options)
     hi_[k] = t.adds[k].alap;
     std::size_t& last = last_of_orig[t.adds[k].orig.index];
     if (last != npos) {
+      HLS_ASSERT(t.adds[last].bits.hi() <= t.adds[k].bits.lo,
+                 "an op's fragments must be disjoint and LSB-first");
       prev_[k] = last;
       next_[last] = k;
     }
@@ -72,15 +74,14 @@ std::vector<double> SchedulerCore::distribution() const {
 }
 
 unsigned SchedulerCore::marginal(std::size_t k, unsigned c) const {
-  const TransformedAdd& a = t_->adds[k];
-  const auto it = by_orig_.find(a.orig.index);
-  if (it == by_orig_.end()) return 1;
-  for (const auto& [bits, cyc] : it->second) {
-    if (cyc == c && (bits.abuts_below(a.bits) || a.bits.abuts_below(bits))) {
-      return 0;
-    }
-  }
-  return 1;
+  // Neighbour j chains with k when placed in c with fragment `below`'s
+  // bits ending where fragment `above`'s start.
+  const auto chains = [&](std::size_t j, std::size_t below, std::size_t above) {
+    return j != npos && placed_[j] && cycle_of_[j] == c &&
+           t_->adds[below].bits.abuts_below(t_->adds[above].bits);
+  };
+  const std::size_t p = prev_[k], s = next_[k];
+  return chains(p, p, k) || chains(s, k, s) ? 0 : 1;
 }
 
 bool SchedulerCore::try_place(std::size_t k, unsigned c) {
@@ -114,7 +115,6 @@ bool SchedulerCore::try_place(std::size_t k, unsigned c) {
 
   const unsigned m = marginal(k, c);
   load_[c] += m;
-  by_orig_[a.orig.index].push_back({a.bits, c});
   placed_[k] = true;
   cycle_of_[k] = c;
   journal_.push_back({k, c, m});
@@ -143,7 +143,6 @@ void SchedulerCore::undo_last() {
     }
   }
   load_[cm.cycle] -= cm.marginal;
-  by_orig_[a.orig.index].pop_back();
   placed_[cm.fragment] = false;
 }
 
@@ -171,22 +170,23 @@ FragSchedule SchedulerCore::finish() const {
 
   // Merge adjacent same-cycle fragments of one original op into one adder
   // op. TransformResult::adds lists fragments LSB-first per op, so a single
-  // sweep suffices (fragment order, not placement order).
-  std::map<std::uint32_t, std::size_t> last_fu_of_orig;
+  // sweep suffices (fragment order, not placement order): the op's latest
+  // adder op is the one its chain predecessor went into.
+  std::vector<std::size_t> fu_of(size());
   for (std::size_t k = 0; k < size(); ++k) {
     const TransformedAdd& a = t.adds[k];
     const unsigned c = cycle_of_[k];
-    const auto it = last_fu_of_orig.find(a.orig.index);
-    if (it != last_fu_of_orig.end()) {
-      FragSchedule::FuOp& prev = out.fu_ops[it->second];
+    if (prev_[k] != npos) {
+      FragSchedule::FuOp& prev = out.fu_ops[fu_of[prev_[k]]];
       if (prev.cycle == c && prev.bits.abuts_below(a.bits)) {
         prev.bits = BitRange{prev.bits.lo, prev.bits.width + a.bits.width};
         prev.nodes.push_back(a.node);
+        fu_of[k] = fu_of[prev_[k]];
         continue;
       }
     }
+    fu_of[k] = out.fu_ops.size();
     out.fu_ops.push_back(FragSchedule::FuOp{a.orig, a.bits, c, {a.node}});
-    last_fu_of_orig[a.orig.index] = out.fu_ops.size() - 1;
   }
   return out;
 }

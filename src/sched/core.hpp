@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -142,7 +141,10 @@ public:
 
   /// Marginal merged-row cost of putting fragment `k` into cycle `c`: free
   /// when an already placed, bit-adjacent fragment of the same original op
-  /// sits in the same cycle (they chain into one wider adder).
+  /// sits in the same cycle (they chain into one wider adder). O(1): an
+  /// op's fragments are disjoint and LSB-first in index order (asserted at
+  /// construction), so only prev_fragment(k) and next_fragment(k) can abut
+  /// `k`.
   unsigned marginal(std::size_t k, unsigned c) const;
   /// Merged-row count committed to cycle `c` so far.
   unsigned load(unsigned c) const { return load_[c]; }
@@ -152,7 +154,8 @@ public:
   /// precedence violation against committed placements): commits the
   /// placement and its bookkeeping and returns true. Returns false with all
   /// state unchanged otherwise. Windows are NOT touched — tightening is
-  /// strategy policy.
+  /// strategy policy. Besides the oracle, a commit records the cycle and
+  /// adds marginal(k, c) to load(c): O(1) bookkeeping.
   bool try_place(std::size_t k, unsigned c);
 
   /// Reverts the most recent successful try_place (LIFO), for strategies
@@ -207,8 +210,6 @@ private:
   std::vector<unsigned> cycle_of_;
   std::vector<std::size_t> prev_, next_;
   std::vector<unsigned> load_;
-  /// Placed fragments per original op: (bit range, cycle).
-  std::map<std::uint32_t, std::vector<std::pair<BitRange, unsigned>>> by_orig_;
   std::vector<Commit> journal_;
   std::optional<IncrementalBitSim> engine_;  ///< Feasibility::Incremental
   BitCycles assign_;                         ///< Feasibility::FullResim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <tuple>
 
@@ -11,70 +12,94 @@ namespace hls {
 
 namespace {
 
-/// Collects the Add nodes an operand depends on, walking through glue and
-/// concats (conservatively: every reachable add, not only the sliced bits).
+/// Fragment precedence in CSR form: fragment k's producers are
+/// producers[producer_begin[k], producer_begin[k + 1]), its dependents
+/// likewise.
+struct Precedence {
+  std::vector<std::size_t> producer_begin{0}, producers;
+  std::vector<std::size_t> dependent_begin, dependents;
+};
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Appends the fragments an operand depends on to `out`, walking through
+/// glue and concats (conservatively: every reachable add, not only the
+/// sliced bits). Nodes already stamped `walk` were expanded earlier in the
+/// same walk and are skipped, so a walk visits each node once however much
+/// glue reconverges, and lists each producer once, in first-occurrence
+/// order.
 void collect_add_deps(const Dfg& dfg, const Operand& o,
-                      std::vector<std::uint32_t>& out) {
+                      const std::vector<std::size_t>& fragment_of,
+                      std::size_t walk, std::vector<std::size_t>& stamp,
+                      std::vector<std::size_t>& out) {
+  if (stamp[o.node.index] == walk) return;
+  stamp[o.node.index] = walk;
   const Node& p = dfg.node(o.node);
   if (p.kind == OpKind::Add) {
-    out.push_back(o.node.index);
+    const std::size_t k = fragment_of[o.node.index];
+    if (k != kNone) out.push_back(k);
     return;
   }
   if (is_glue(p.kind) || p.kind == OpKind::Concat) {
-    for (const Operand& q : p.operands) collect_add_deps(dfg, q, out);
+    for (const Operand& q : p.operands) {
+      collect_add_deps(dfg, q, fragment_of, walk, stamp, out);
+    }
   }
 }
 
-/// Per fragment, the fragments producing its operand bits (through glue
-/// and concats, carry-in included) — the precedence the list scheduler
-/// obeys.
-std::vector<std::vector<std::size_t>> fragment_producers(
-    const TransformResult& t) {
+/// Per fragment, the distinct fragments producing its operand bits (through
+/// glue and concats, carry-in included) — the precedence the list scheduler
+/// obeys — and the inverse lists.
+Precedence fragment_producers(const TransformResult& t) {
   const std::size_t n = t.adds.size();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> add_index_of_node(t.spec.size(), kNone);
+  std::vector<std::size_t> fragment_of(t.spec.size(), kNone);
+  for (std::size_t k = 0; k < n; ++k) fragment_of[t.adds[k].node.index] = k;
+  Precedence g;
+  std::vector<std::size_t> stamp(t.spec.size(), kNone);
   for (std::size_t k = 0; k < n; ++k) {
-    add_index_of_node[t.adds[k].node.index] = k;
-  }
-  std::vector<std::vector<std::size_t>> producers(n);
-  std::vector<std::uint32_t> producer_adds;
-  for (std::size_t k = 0; k < n; ++k) {
-    producer_adds.clear();
     for (const Operand& o : t.spec.node(t.adds[k].node).operands) {
-      collect_add_deps(t.spec, o, producer_adds);
+      collect_add_deps(t.spec, o, fragment_of, k, stamp, g.producers);
     }
-    for (std::uint32_t p : producer_adds) {
-      if (add_index_of_node[p] != kNone) {
-        producers[k].push_back(add_index_of_node[p]);
-      }
+    g.producer_begin.push_back(g.producers.size());
+  }
+
+  g.dependent_begin.assign(n + 1, 0);
+  for (std::size_t d : g.producers) ++g.dependent_begin[d + 1];
+  std::partial_sum(g.dependent_begin.begin(), g.dependent_begin.end(),
+                   g.dependent_begin.begin());
+  g.dependents.resize(g.producers.size());
+  std::vector<std::size_t> fill = g.dependent_begin;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = g.producer_begin[k]; i < g.producer_begin[k + 1];
+         ++i) {
+      g.dependents[fill[g.producers[i]]++] = k;
     }
   }
-  return producers;
+  return g;
 }
 
 /// Places every transformed Add in a cycle of its window. When `balance` is
 /// set, fragments are placed in list-scheduling order (fixed fragments
 /// first, then by increasing mobility) into the cycle minimizing
-/// (marginal merged-row cost, row load, cycle index). Without balancing,
-/// every fragment goes to its ASAP cycle, which is feasible by construction
-/// of the windows. Returns false when a balanced placement gets stuck.
+/// (marginal merged-row cost, row load, cycle index); each candidate's key
+/// is computed once and the keys sorted. Without balancing, every fragment
+/// goes to its ASAP cycle, which is feasible by construction of the
+/// windows. Returns false when a balanced placement gets stuck.
 ///
-/// Readiness (all producer fragments placed) is tracked by counters fed
-/// from the inverse dependency lists, and selection pops a min-heap keyed
-/// (mobility, asap, index) — the same fragment order the historical
-/// all-fragments rescan produced, without the O(n^2) sweep. Placements in
-/// this loop are never undone, so a fragment becomes ready exactly once.
-bool place(SchedulerCore& core,
-           const std::vector<std::vector<std::size_t>>& producers,
-           bool balance) {
+/// Readiness (every distinct producer fragment placed) is tracked by
+/// counters fed from the CSR dependent lists, and selection pops a min-heap
+/// keyed (mobility, asap, index) — the same fragment order the historical
+/// all-fragments rescan produced, without the O(n^2) sweep. The heap's key
+/// is unique, so the pop order depends only on which fragments are ready,
+/// not on the order or multiplicity in which they became ready. Placements
+/// in this loop are never undone, so a fragment becomes ready exactly once.
+bool place(SchedulerCore& core, const Precedence& g, bool balance) {
   const TransformResult& t = core.transform();
   const std::size_t n = core.size();
 
-  std::vector<std::size_t> pending(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
+  std::vector<std::size_t> pending(n);
   for (std::size_t k = 0; k < n; ++k) {
-    pending[k] = producers[k].size();
-    for (std::size_t d : producers[k]) dependents[d].push_back(k);
+    pending[k] = g.producer_begin[k + 1] - g.producer_begin[k];
   }
 
   using Key = std::tuple<unsigned, unsigned, std::size_t>;
@@ -86,7 +111,8 @@ bool place(SchedulerCore& core,
     if (pending[k] == 0) ready.push(key_of(k));
   }
 
-  std::vector<unsigned> candidates;
+  using Candidate = std::tuple<unsigned, unsigned, unsigned>;  // m, load, c
+  std::vector<Candidate> candidates;
   CancelCheckpoint cancel(core.options().cancel);
   for (std::size_t done = 0; done < n; ++done) {
     cancel.tick();
@@ -96,18 +122,14 @@ bool place(SchedulerCore& core,
 
     const TransformedAdd& a = t.adds[best];
     candidates.clear();
-    for (unsigned c = a.asap; c <= a.alap; ++c) candidates.push_back(c);
-    if (balance) {
-      std::stable_sort(
-          candidates.begin(), candidates.end(), [&](unsigned x, unsigned y) {
-            return std::make_pair(core.marginal(best, x), core.load(x)) <
-                   std::make_pair(core.marginal(best, y), core.load(y));
-          });
+    for (unsigned c = a.asap; c <= a.alap; ++c) {
+      candidates.emplace_back(core.marginal(best, c), core.load(c), c);
     }
+    if (balance) std::sort(candidates.begin(), candidates.end());
 
     bool ok = false;
-    for (unsigned c : candidates) {
-      if (core.try_place(best, c)) {
+    for (const Candidate& cand : candidates) {
+      if (core.try_place(best, std::get<2>(cand))) {
         ok = true;
         break;
       }
@@ -119,7 +141,9 @@ bool place(SchedulerCore& core,
       }
       return false;
     }
-    for (std::size_t u : dependents[best]) {
+    for (std::size_t i = g.dependent_begin[best];
+         i < g.dependent_begin[best + 1]; ++i) {
+      const std::size_t u = g.dependents[i];
       if (--pending[u] == 0) ready.push(key_of(u));
     }
   }
@@ -142,11 +166,11 @@ bool FragSchedule::has_unconsecutive_execution() const {
 
 FragSchedule schedule_transformed(const TransformResult& t,
                                   const SchedulerOptions& options) {
-  const std::vector<std::vector<std::size_t>> producers = fragment_producers(t);
+  const Precedence precedence = fragment_producers(t);
   SchedulerCore balanced(t, options);
-  if (place(balanced, producers, /*balance=*/true)) return balanced.finish();
+  if (place(balanced, precedence, /*balance=*/true)) return balanced.finish();
   SchedulerCore asap(t, options);
-  place(asap, producers, /*balance=*/false);
+  place(asap, precedence, /*balance=*/false);
   return asap.finish();
 }
 

@@ -40,12 +40,32 @@ unsigned effective_width(const Node& n) {
   return w == 0 ? 1 : w;  // a pure-carry add still settles in one delta
 }
 
+/// Walk-local memo of resolved slices: `stamp` holds the walk that last
+/// reached each node, and only a node met again in the same walk scans the
+/// walk's `seen` slices.
+struct SliceMemo {
+  std::vector<std::uint32_t> stamp;
+  std::vector<Operand> seen;
+  std::uint32_t walk = 0;
+};
+
 /// Resolves the additive sources of an operand slice, walking transparently
 /// through glue logic and concats (which neither add delay nor break the
-/// paper's notion of a path of additive operations).
-void resolve_sources(const Dfg& dfg, const Operand& op,
+/// paper's notion of a path of additive operations). A slice the walk has
+/// already resolved would add only duplicate edges, which never win the
+/// strict relaxation in critical_path, so it is skipped: reconvergent glue
+/// is expanded once per (node, lo, width), not once per path.
+void resolve_sources(const Dfg& dfg, const Operand& op, SliceMemo& memo,
                      std::vector<SourceEdge>& out) {
   if (op.bits.empty()) return;
+  std::uint32_t& stamp = memo.stamp[op.node.index];
+  std::vector<Operand>& seen = memo.seen;
+  if (stamp == memo.walk &&
+      std::find(seen.begin(), seen.end(), op) != seen.end()) {
+    return;
+  }
+  stamp = memo.walk;
+  seen.push_back(op);
   const Node& producer = dfg.node(op.node);
   switch (producer.kind) {
     case OpKind::Add:
@@ -64,7 +84,7 @@ void resolve_sources(const Dfg& dfg, const Operand& op,
         if (within.empty()) continue;  // slice lies in the zero-extension
         resolve_sources(
             dfg, Operand{g.node, BitRange{g.bits.lo + within.lo, within.width}},
-            out);
+            memo, out);
       }
       return;
     }
@@ -77,7 +97,7 @@ void resolve_sources(const Dfg& dfg, const Operand& op,
           resolve_sources(dfg,
                           Operand{part.node, BitRange{part.bits.lo + (within.lo - base),
                                                       within.width}},
-                          out);
+                          memo, out);
         }
         base += part.bits.width;
       }
@@ -101,11 +121,14 @@ CriticalPathResult critical_path(const Dfg& dfg) {
   // Edges u -> v (v consumes a slice of u). Built from each consumer v's
   // operands, so iterate v in topological order and scatter to sources.
   std::vector<std::vector<SourceEdge>> in_edges_of(n);
+  SliceMemo memo{std::vector<std::uint32_t>(n, UINT32_MAX), {}, 0};
   for (std::uint32_t v = 0; v < n; ++v) {
     const Node& node = dfg.node(NodeId{v});
     if (node.kind != OpKind::Add) continue;
+    memo.walk = v;
+    memo.seen.clear();
     for (const Operand& op : node.operands) {
-      resolve_sources(dfg, op, in_edges_of[v]);
+      resolve_sources(dfg, op, memo, in_edges_of[v]);
     }
   }
 

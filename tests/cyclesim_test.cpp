@@ -42,13 +42,13 @@ TEST(CycleSim, AllSuitesAllLatenciesMatchEvaluator) {
     const Dfg original = s.build();
     for (unsigned lat : s.latencies) {
       const FlowResult o = testutil::run_optimized(original, lat);
+      const Netlist nl = lower_rtl(*o.transform, *o.schedule, o.report.datapath);
       for (int trial = 0; trial < 25; ++trial) {
         InputValues in;
         for (NodeId id : original.inputs()) {
           in[original.node(id).name] = rng();
         }
-        EXPECT_EQ(simulate_datapath(*o.transform, *o.schedule,
-                                    o.report.datapath, in),
+        EXPECT_EQ(simulate_netlist(nl, o.transform->spec, in),
                   evaluate(original, in))
             << s.name << " lat " << lat;
       }
@@ -69,13 +69,12 @@ TEST(CycleSim, DisconnectedMultiOutputSpecMatchesEvaluator) {
   const Dfg d = std::move(b).take();
   for (const char* sched : {"list", "forcedirected"}) {
     const FlowResult o = testutil::run_optimized(d, 3, {}, 0, sched);
+    const Netlist nl = lower_rtl(*o.transform, *o.schedule, o.report.datapath);
     std::mt19937_64 rng(31);
     for (int i = 0; i < 200; ++i) {
       const InputValues in{{"A", rng()}, {"B", rng()}, {"C", rng()},
                            {"P", rng()}, {"Q", rng()}};
-      EXPECT_EQ(simulate_datapath(*o.transform, *o.schedule,
-                                  o.report.datapath, in),
-                evaluate(d, in))
+      EXPECT_EQ(simulate_netlist(nl, o.transform->spec, in), evaluate(d, in))
           << sched;
     }
   }
@@ -135,11 +134,11 @@ TEST(CycleSim, WideCarryChainAcrossManyCycles) {
   b.out("o", x + y);
   const Dfg d = std::move(b).take();
   const FlowResult o = testutil::run_optimized(d, 8);
+  const Netlist nl = lower_rtl(*o.transform, *o.schedule, o.report.datapath);
   std::mt19937_64 rng(13);
   for (int i = 0; i < 200; ++i) {
     const InputValues in{{"x", rng()}, {"y", rng()}};
-    EXPECT_EQ(simulate_datapath(*o.transform, *o.schedule, o.report.datapath, in),
-              evaluate(d, in));
+    EXPECT_EQ(simulate_netlist(nl, o.transform->spec, in), evaluate(d, in));
   }
 }
 

@@ -43,12 +43,12 @@ TEST(ForceDirected, DatapathStillComputesCorrectValues) {
   const Dfg d = fig3_dfg();
   const TransformResult t = transform_spec(d, 3);
   const FragSchedule fs = schedule_transformed_forcedirected(t);
-  const Datapath dp = allocate_bitlevel(t, fs);
+  const Netlist nl = lower_rtl(t, fs, allocate_bitlevel(t, fs));
   std::mt19937_64 rng(31);
   for (int i = 0; i < 100; ++i) {
     InputValues in;
     for (NodeId id : d.inputs()) in[d.node(id).name] = rng();
-    EXPECT_EQ(simulate_datapath(t, fs, dp, in), evaluate(d, in));
+    EXPECT_EQ(simulate_netlist(nl, t.spec, in), evaluate(d, in));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -232,12 +233,15 @@ TEST(Partition, ComposedSimulationMatchesEvaluatorAcrossSuites) {
         ASSERT_EQ(multi, r.composite != nullptr) << s.name;
         ASSERT_EQ(multi, !r.transform && !r.schedule) << s.name;
         if (multi) ++multi_kernel;
+        std::optional<Netlist> nl;
+        if (!multi) {
+          nl = lower_rtl(*r.transform, *r.schedule, r.report.datapath);
+        }
         for (int trial = 0; trial < 10; ++trial) {
           const InputValues in = random_inputs(spec, rng);
           const OutputValues got =
               multi ? simulate_composite(*r.composite, in)
-                    : simulate_datapath(*r.transform, *r.schedule,
-                                        r.report.datapath, in);
+                    : simulate_netlist(*nl, r.transform->spec, in);
           EXPECT_EQ(got, evaluate(spec, in))
               << s.name << " lat " << req.latency << " " << scheduler
               << " cached=" << cached;

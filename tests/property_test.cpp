@@ -86,12 +86,12 @@ TEST(PipelineProperty, RandomSpecsSurviveTheWholeFlow) {
     } catch (const Error& e) {
       FAIL() << "flow failed on trial " << trial << ": " << e.what();
     }
+    const Netlist nl = lower_rtl(*o.transform, *o.schedule, o.report.datapath);
     for (int i = 0; i < 25; ++i) {
       const InputValues in = random_inputs(original, rng);
       const OutputValues expect = evaluate(original, in);
       EXPECT_EQ(evaluate(o.transform->spec, in), expect) << "trial " << trial;
-      EXPECT_EQ(simulate_datapath(*o.transform, *o.schedule, o.report.datapath, in),
-                expect)
+      EXPECT_EQ(simulate_netlist(nl, o.transform->spec, in), expect)
           << "trial " << trial;
     }
   }
@@ -108,12 +108,12 @@ TEST(PipelineProperty, SchedulersAgreeOnSemantics) {
     const TransformResult t = transform_spec(kernel, latency);
     const FragSchedule ls = schedule_transformed(t);
     const FragSchedule fd = schedule_transformed_forcedirected(t);
-    const Datapath dls = allocate_bitlevel(t, ls);
-    const Datapath dfd = allocate_bitlevel(t, fd);
+    const Netlist nls = lower_rtl(t, ls, allocate_bitlevel(t, ls));
+    const Netlist nfd = lower_rtl(t, fd, allocate_bitlevel(t, fd));
     for (int i = 0; i < 10; ++i) {
       const InputValues in = random_inputs(original, rng);
-      EXPECT_EQ(simulate_datapath(t, ls, dls, in),
-                simulate_datapath(t, fd, dfd, in))
+      EXPECT_EQ(simulate_netlist(nls, t.spec, in),
+                simulate_netlist(nfd, t.spec, in))
           << "trial " << trial;
     }
   }
@@ -208,10 +208,10 @@ TEST(ExtendedSuites, ProfilesAndEquivalence) {
     const Dfg d = s.build();
     d.verify();
     const FlowResult o = testutil::run_optimized(d, s.latencies.front());
+    const Netlist nl = lower_rtl(*o.transform, *o.schedule, o.report.datapath);
     for (int i = 0; i < 20; ++i) {
       const InputValues in = random_inputs(d, rng);
-      EXPECT_EQ(simulate_datapath(*o.transform, *o.schedule, o.report.datapath, in),
-                evaluate(d, in))
+      EXPECT_EQ(simulate_netlist(nl, o.transform->spec, in), evaluate(d, in))
           << s.name;
     }
   }

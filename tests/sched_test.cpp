@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "flow/session.hpp"
 #include "frag/transform.hpp"
 #include "ir/builder.hpp"
 #include "kernel/extract.hpp"
 #include "sched/bitsim.hpp"
 #include "sched/blc.hpp"
 #include "sched/conventional.hpp"
+#include "sched/core.hpp"
 #include "sched/fragsched.hpp"
 #include "sched/schedule.hpp"
+#include "suites/suites.hpp"
 
 namespace hls {
 namespace {
@@ -391,6 +396,100 @@ TEST(FragSched, DeepPipelineManyLatencies) {
     EXPECT_NO_THROW(validate_schedule(t.spec, fs.schedule)) << latency;
     EXPECT_EQ(fs.schedule.latency, latency);
   }
+}
+
+// ------------------------------------------------------ merge cost --
+
+/// List-places every fragment of `t` on a SchedulerCore and, after every
+/// commit, compares marginal(k, c) for each unplaced fragment k and cycle c
+/// of its window with a brute-force scan over the placed fragments of k's
+/// op. The next fragment is the ready one (every operand bit scheduled) of
+/// least (mobility, asap, index); its cycles are tried in (marginal, load,
+/// cycle) order, or ASAP-first without `balance`. Returns false when a
+/// balanced placement gets stuck.
+bool place_checking_marginal(const TransformResult& t, bool balance,
+                             const std::string& what) {
+  SchedulerCore core(t);
+  const std::size_t n = core.size();
+  std::vector<std::vector<std::size_t>> of_op(t.spec.size());
+  for (std::size_t k = 0; k < n; ++k) of_op[t.adds[k].orig.index].push_back(k);
+  const auto brute = [&](std::size_t k, unsigned c) {
+    for (std::size_t j : of_op[t.adds[k].orig.index]) {
+      if (core.placed(j) && core.cycle_of(j) == c &&
+          (t.adds[j].bits.abuts_below(t.adds[k].bits) ||
+           t.adds[k].bits.abuts_below(t.adds[j].bits))) {
+        return 0u;
+      }
+    }
+    return 1u;
+  };
+  for (std::size_t done = 0; done < n; ++done) {
+    std::size_t best = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (core.placed(k) || core.earliest_cycle(k) == kUnassignedCycle) continue;
+      const auto key = [&](std::size_t i) {
+        return std::make_tuple(t.adds[i].alap - t.adds[i].asap, t.adds[i].asap, i);
+      };
+      if (best == n || key(k) < key(best)) best = k;
+    }
+    if (best == n) {
+      ADD_FAILURE() << what << ": no ready fragment";
+      return false;
+    }
+    std::vector<std::tuple<unsigned, unsigned, unsigned>> candidates;
+    for (unsigned c = t.adds[best].asap; c <= t.adds[best].alap; ++c) {
+      candidates.emplace_back(balance ? core.marginal(best, c) : 0,
+                              balance ? core.load(c) : 0, c);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    bool placed = false;
+    for (const auto& cand : candidates) {
+      if (core.try_place(best, std::get<2>(cand))) {
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) {
+      EXPECT_TRUE(balance) << what << ": ASAP placement infeasible";
+      return false;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if (core.placed(k)) continue;
+      for (unsigned c = core.window_lo(k); c <= core.window_hi(k); ++c) {
+        if (core.marginal(k, c) != brute(k, c)) {
+          ADD_FAILURE() << what << ": marginal(" << k << ", " << c
+                        << ") disagrees with the brute-force scan";
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+TEST(FragSched, MarginalMatchesBruteForceOnEveryRegistrySuite) {
+  const Session session(SessionOptions{.workers = 1});
+  std::size_t designs = 0;
+  for (const SuiteEntry& suite : registry_suites()) {
+    const Dfg spec = suite.build();
+    const std::vector<unsigned>& lat = suite.latencies;
+    for (const unsigned latency :
+         {lat.front(), lat[lat.size() / 2], lat.back()}) {
+      for (const bool narrow : {false, true}) {
+        FlowRequest req{spec, "optimized", latency};
+        req.options.narrow = narrow;
+        const FlowResult r = session.run(req);
+        ASSERT_TRUE(r.ok && r.transform) << suite.name << " L" << latency;
+        const std::string what = suite.name + " L" + std::to_string(latency) +
+                                 (narrow ? " narrow" : "");
+        if (!place_checking_marginal(*r.transform, true, what)) {
+          place_checking_marginal(*r.transform, false, what);
+        }
+        ++designs;
+      }
+    }
+  }
+  EXPECT_GT(designs, 0u);
 }
 
 } // namespace
