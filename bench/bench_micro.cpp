@@ -10,11 +10,12 @@
 //   bench_micro --json [FILE]
 //     The tracked baseline suite: every synthetic kernel x {list,
 //     forcedirected} x {incremental, full-resim} oracle, each measurement
-//     the median of 3 repetitions (the cancel/trace overhead ratios: of 9
-//     interleaved pairs), timed with std::chrono (no google-benchmark
-//     dependency), emitted in the committed BENCH_micro.json schema
-//     (see PERFORMANCE.md). CI diffs a fresh run against the committed
-//     baseline and fails on >25% regression of any tracked speedup.
+//     the median of 3 repetitions (the cancel/trace overhead ratios: the
+//     median ratio of 41 interleaved pairs), timed with std::chrono (no
+//     google-benchmark dependency), emitted in the committed
+//     BENCH_micro.json schema (see PERFORMANCE.md). CI diffs a fresh run
+//     against the committed baseline and fails on >25% regression of any
+//     tracked speedup.
 //
 //   bench_micro --target-sweep
 //     The technology-target comparison (PERFORMANCE.md's target-sweep
@@ -110,25 +111,44 @@ double median_of_3_ns(const std::string& scheduler, const TransformResult& t,
                  measure_ns(scheduler, t, options));
 }
 
-/// Medians of `reps` interleaved (armed, unarmed) measurement pairs, for
-/// the ~1.0 overhead ratios whose 5% tolerance is tighter than the drift
-/// between two back-to-back median-of-3 blocks on a shared machine:
-/// alternating the sides exposes both to the same drift, and the extra
-/// repetitions keep the schedules that the earliest-cycle pre-filter made
-/// short (~2-3 ms on synth-mesh8x8) above the noise.
+/// One armed-overhead measurement: each side's median time, and the
+/// median of the per-pair ratios unarmed / armed.
+struct Overhead {
+  double armed_ns = 0;
+  double unarmed_ns = 0;
+  double ratio = 0;
+};
+
+/// Measures `pairs` back-to-back (armed, unarmed) pairs, alternating which
+/// side runs first, for the ~1.0 overhead ratios whose 5% tolerance is
+/// tighter than the drift of a shared machine. Each pair's ratio sees the
+/// same drift on both sides, so the median of per-pair ratios holds where
+/// a ratio of two separately sorted medians does not; the many pairs keep
+/// the schedules that the earliest-cycle pre-filter made short (~2-3 ms on
+/// synth-mesh8x8) above the noise.
 template <class ArmedFn, class UnarmedFn>
-std::pair<double, double> interleaved_medians(int reps, ArmedFn armed,
-                                              UnarmedFn unarmed) {
-  std::vector<double> a, u;
-  for (int r = 0; r < reps; ++r) {
-    a.push_back(armed());
-    u.push_back(unarmed());
+Overhead interleaved_overhead(int pairs, ArmedFn armed, UnarmedFn unarmed) {
+  std::vector<double> a, u, ratio;
+  for (int p = 0; p < pairs; ++p) {
+    double armed_ns, unarmed_ns;
+    if (p % 2 == 0) {
+      armed_ns = armed();
+      unarmed_ns = unarmed();
+    } else {
+      unarmed_ns = unarmed();
+      armed_ns = armed();
+    }
+    a.push_back(armed_ns);
+    u.push_back(unarmed_ns);
+    ratio.push_back(unarmed_ns / armed_ns);
   }
-  std::sort(a.begin(), a.end());
-  std::sort(u.begin(), u.end());
-  return {a[a.size() / 2], u[u.size() / 2]};
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(a), median(u), median(ratio)};
 }
-constexpr int kOverheadReps = 9;
+constexpr int kOverheadPairs = 41;
 
 // --- cached-sweep vs naive-sweep (dse/ ArtifactCache + Explorer) ----------
 
@@ -282,8 +302,8 @@ int run_json_baseline(const char* path) {
     CancelSource source;  // armed, never cancelled
     SchedulerOptions armed = incremental;
     armed.cancel = source.token();
-    const auto [armed_ns, unarmed_ns] = interleaved_medians(
-        kOverheadReps,
+    const Overhead o = interleaved_overhead(
+        kOverheadPairs,
         [&] { return measure_ns("forcedirected", t, armed); },
         [&] { return measure_ns("forcedirected", t, incremental); });
     char row[512];
@@ -292,8 +312,7 @@ int run_json_baseline(const char* path) {
                   "\"scheduler\": \"forcedirected\", "
                   "\"ns_per_op\": %.0f, \"full_resim_ns_per_op\": %.0f, "
                   "\"speedup_vs_full_resim\": %.2f, \"tolerance\": 0.05}",
-                  s.name.c_str(), armed_ns, unarmed_ns,
-                  unarmed_ns / armed_ns);
+                  s.name.c_str(), o.armed_ns, o.unarmed_ns, o.ratio);
     out += ",\n";
     out += row;
   }
@@ -307,8 +326,8 @@ int run_json_baseline(const char* path) {
     if (s.name != "synth-mesh8x8") continue;
     std::fprintf(stderr, "bench %s/trace-overhead...\n", s.name.c_str());
     const TransformResult t = transform_spec(s.build(), s.latencies.front());
-    const auto [armed_ns, disarmed_ns] = interleaved_medians(
-        kOverheadReps,
+    const Overhead o = interleaved_overhead(
+        kOverheadPairs,
         [&] {
           TraceScope scope(true);
           ScopedSpan root("bench", "bench");
@@ -321,8 +340,7 @@ int run_json_baseline(const char* path) {
                   "\"scheduler\": \"forcedirected\", "
                   "\"ns_per_op\": %.0f, \"full_resim_ns_per_op\": %.0f, "
                   "\"speedup_vs_full_resim\": %.2f, \"tolerance\": 0.05}",
-                  s.name.c_str(), armed_ns, disarmed_ns,
-                  disarmed_ns / armed_ns);
+                  s.name.c_str(), o.armed_ns, o.unarmed_ns, o.ratio);
     out += ",\n";
     out += row;
   }

@@ -130,6 +130,7 @@ std::string to_json(const FlowResult& r) {
        << ",";
     os << "\"candidates_filtered\":" << r.counters->candidates_filtered
        << ",";
+    os << "\"candidates_refined\":" << r.counters->candidates_refined << ",";
     os << "\"candidates_probed\":" << r.counters->candidates_probed << ",";
     os << "\"candidates_rejected\":" << r.counters->candidates_rejected << ",";
     os << "\"candidates_committed\":" << r.counters->candidates_committed

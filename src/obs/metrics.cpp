@@ -235,6 +235,7 @@ void publish_oracle_counters(MetricsRegistry& reg,
                              const OracleCounters& counters) {
   reg.counter("oracle.candidates_evaluated").add(counters.candidates_evaluated);
   reg.counter("oracle.candidates_filtered").add(counters.candidates_filtered);
+  reg.counter("oracle.candidates_refined").add(counters.candidates_refined);
   reg.counter("oracle.candidates_probed").add(counters.candidates_probed);
   reg.counter("oracle.candidates_rejected").add(counters.candidates_rejected);
   reg.counter("oracle.candidates_committed").add(counters.candidates_committed);

@@ -64,13 +64,12 @@ void SchedulerCore::tighten_chain(std::size_t k, unsigned c) {
   }
 }
 
-std::vector<double> SchedulerCore::distribution() const {
-  std::vector<double> dg(t_->latency, 0.0);
+void SchedulerCore::distribution(std::vector<double>& dg) const {
+  dg.assign(t_->latency, 0.0);
   for (std::size_t k = 0; k < size(); ++k) {
     const double mass = static_cast<double>(width_of(k)) / (hi_[k] - lo_[k] + 1);
     for (unsigned c = lo_[k]; c <= hi_[k]; ++c) dg[c] += mass;
   }
-  return dg;
 }
 
 unsigned SchedulerCore::marginal(std::size_t k, unsigned c) const {

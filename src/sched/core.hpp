@@ -41,10 +41,14 @@ namespace hls {
 /// Surfaced per flow run through FlowResult::counters and `fraghls
 /// --timing`, so the oracle's behaviour is visible outside the benches.
 struct OracleCounters {
-  std::uint64_t candidates_evaluated = 0;  ///< force/feasibility evaluations
+  /// Candidates scored per round, by bound or exactly.
+  std::uint64_t candidates_evaluated = 0;
   /// (fragment, cycle) pairs inside a fragment's chain-feasible window that
   /// the earliest-cycle bound removed before force evaluation.
   std::uint64_t candidates_filtered = 0;
+  /// Force bounds that reached the top of a round's heap and were replaced
+  /// by their exact force.
+  std::uint64_t candidates_refined = 0;
   std::uint64_t candidates_probed = 0;     ///< oracle try_place attempts
   std::uint64_t candidates_rejected = 0;   ///< probes the oracle rejected
   std::uint64_t candidates_committed = 0;  ///< probes kept in the schedule
@@ -57,8 +61,9 @@ struct SchedulerOptions {
     FullResim,    ///< full simulate_bit_schedule per candidate (baseline)
   };
   Feasibility feasibility = Feasibility::Incremental;
-  /// Cross-check every incremental mutation against the full simulator.
-  /// This is the single source of the build-type default (a bare
+  /// Cross-check every incremental mutation against the full simulator,
+  /// and assert that every force-directed force bound is at most its exact
+  /// force. This is the single source of the build-type default (a bare
   /// IncrementalBitSim constructs with cross-checking off).
 #ifdef NDEBUG
   bool cross_check = false;
@@ -68,14 +73,15 @@ struct SchedulerOptions {
   /// Optional counter sink (non-owning; may be nullptr). Must outlive the
   /// scheduler run.
   OracleCounters* counters = nullptr;
-  /// Worker threads for force-directed candidate evaluation: 1 (the
-  /// default) is the serial path, 0 resolves to the hardware concurrency,
-  /// N uses N threads. Serial is the default because the earliest-cycle
-  /// pre-filter leaves too few candidates per round for the spin-barrier
-  /// pool to pay for its hand-off on any registry kernel. Schedules are
-  /// bit-identical for every value — candidate forces are pure
-  /// per-candidate arithmetic and the reduction reproduces the serial
-  /// (force, fragment, cycle) argmin exactly.
+  /// Worker threads for the force-directed bound scan: 1 (the default) is
+  /// the serial path, 0 resolves to the hardware concurrency, N uses N
+  /// threads. Serial is the default because the earliest-cycle pre-filter
+  /// leaves too few candidates per round for the spin-barrier pool to pay
+  /// for its hand-off on any registry kernel. Workers compute only force
+  /// bounds; exact forces and the commit stay on the calling thread.
+  /// Schedules are bit-identical for every value — bounds are pure
+  /// per-candidate arithmetic and the heap reproduces the serial
+  /// (force, fragment, cycle) order exactly.
   unsigned candidate_workers = 1;
   /// Fragment-count floor below which the parallel path is skipped even
   /// when candidate_workers > 1 (thread hand-off costs more than tiny
@@ -136,8 +142,9 @@ public:
   unsigned width_of(std::size_t k) const { return t_->adds[k].bits.width; }
 
   /// Probability-weighted distribution graph in adder bits per cycle: every
-  /// fragment spreads width/|window| over its current window.
-  std::vector<double> distribution() const;
+  /// fragment spreads width/|window| over its current window. Fills `dg`
+  /// (one entry per cycle), so a caller can reuse one buffer across rounds.
+  void distribution(std::vector<double>& dg) const;
 
   /// Marginal merged-row cost of putting fragment `k` into cycle `c`: free
   /// when an already placed, bit-adjacent fragment of the same original op

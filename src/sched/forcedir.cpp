@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <climits>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sched/core.hpp"
@@ -28,24 +30,62 @@ namespace {
 //
 //   1. distribution(): the one full O(n) pass per commit. Its
 //      floating-point sum order feeds every force, so it stays a recompute
-//      in fragment order rather than an incremental update.
-//   2. The candidate scan over the eligible list (unplaced fragments whose
+//      in fragment order rather than an incremental update. Prefix sums
+//      pre[x] = dg[0] + ... + dg[x-1] follow it.
+//   2. The bound scan over the eligible list (unplaced fragments whose
 //      carry producer is placed — kept ascending and updated per commit).
 //      ChainAggregates turn chain feasibility into a window intersection,
 //      and the oracle's earliest-cycle bound cuts the cycles below it: the
 //      oracle would reject every one of them on an operand word computed
-//      in a later cycle. Every surviving (fragment, cycle) is evaluated
-//      ONCE — serially or chunked across worker threads; each force is a
-//      pure function of (windows, dg), so the partition cannot change a
-//      bit.
-//   3. A min-heap keyed (force, fragment, cycle) replays the historical
-//      ban-and-rescan sequence: a rejected try_place changed none of the
-//      force inputs, so the next-best heap pop IS what the re-scan would
-//      have selected. The oracle rejects a filtered candidate whenever it
-//      is popped, so removing them leaves the first accepted one unchanged.
+//      in a later cycle. Every surviving (fragment, cycle) is scored ONCE,
+//      by force_bound: a certified lower bound on its exact force_of value
+//      that reads each window's dg sum from `pre` in O(1), so a candidate
+//      costs O(chain length) instead of O(window x chain length). Scans run
+//      serially or chunked across worker threads; each bound is a pure
+//      function of (windows, pre), so the partition cannot change a bit.
+//   3. Lazy refinement. A min-heap keyed (key, fragment, cycle) holds the
+//      bounds. A popped bound is replaced by its exact force_of value and
+//      pushed back; only a popped exact candidate is probed with try_place.
+//      Every bound is at most its exact force, so when an exact candidate
+//      X is on top, every other entry Y has exact (force, fragment, cycle)
+//      after X's: either key(Y) > force(X), and force(Y) >= key(Y), or
+//      key(Y) == force(X) with Y's (fragment, cycle) later, and
+//      force(Y) >= key(Y). Exact candidates therefore pop in the historical
+//      ascending (force, fragment, cycle) order, which replays the
+//      historical ban-and-rescan sequence: a rejected try_place changed
+//      none of the force inputs, so the next exact pop IS what the re-scan
+//      would have selected, and the first candidate the oracle accepts is
+//      the same. The oracle rejects a filtered candidate whenever it is
+//      popped, so removing them leaves the first accepted one unchanged.
 //   4. The commit: tighten_chain clamps the winner's chain, ChainAggregates
 //      refolds that one chain, and the eligible list drops the winner and
 //      admits its carry successor.
+//
+// The bound's margin. Part i moves a window [lo_i, hi_i] (mass mo_i) to
+// [a_i, b_i] (mass m_i). force_of and force_bound add up the same real value
+// T = sum over parts of (m_i * S(a_i, b_i) - mo_i * S(lo_i, hi_i)), where
+// S is the exact sum of the stored dg doubles over a window and the masses
+// are the same doubles in both. Let u = DBL_EPSILON / 2 (the unit
+// roundoff), g_k = k u / (1 - k u), and P(x) the exact sum of dg[0..x-1].
+// By the recursive-summation analysis (Higham, Accuracy and Stability of
+// Numerical Algorithms, 2nd ed., §4.2):
+//   - force_of sums N rounded products: |force_of - T| <= g_N * Z, with Z
+//     the sum of the absolute values of its terms;
+//   - pre[x] sums at most L nonnegative terms (L the latency), so
+//     |pre[x] - P(x)| <= g_L * P(x); one window sum pre[b+1] - pre[a] then
+//     errs by at most g_(L+1) (P(b+1) + P(a)), and its product with a mass
+//     and the per-part difference add two more roundings;
+//   - summing the M parts adds g_(M-1):
+//     |force_bound's sum - T| <= g_(L+M+2) * W, with W = sum over parts of
+//     m_i (P(b_i+1) + P(a_i)) + mo_i (P(hi_i+1) + P(lo_i)).
+// Since S(a, b) <= P(b+1) + P(a), Z <= W, and both errors together stay
+// below g_(N+L+M+2) * W. The computed scale (W from the rounded prefixes)
+// is within a factor 1 - g_(L+M+4) of W. Subtracting
+// (N + 2L + M + 8) * DBL_EPSILON * scale = 2 (N + 2L + M + 8) u * scale
+// covers that error about twice over, and the slack beyond it (at least
+// 14 u W) absorbs the rounding of the margin's product and of the final
+// subtraction. So the returned bound never exceeds force_of's value; the
+// margin has no tuning constant.
 
 /// Integer chain extrema per fragment, folded once up front and then per
 /// committed chain. "prev" aggregates fold the strict predecessor chain,
@@ -122,81 +162,124 @@ private:
   }
 };
 
-/// Paulin-style self force of the implied windows against the current
-/// distribution graph. Only the fragment and its carry chain change
-/// windows, so only those indices contribute. The aggregate guards skip a
-/// whole chain walk only when every contribution in it would have returned
-/// without touching `force` — the FP accumulation that does happen is
-/// operation-for-operation the historical sequence.
-double force_of(const SchedulerCore& core, const double* dg, std::size_t k,
-                unsigned c, const ChainAggregates& agg) {
-  double force = 0;
-  auto contribution = [&](std::size_t i, unsigned nlo, unsigned nhi) {
-    const unsigned lo = core.window_lo(i), hi = core.window_hi(i);
-    if (nlo == lo && nhi == hi) return;
-    const double mass_new =
-        static_cast<double>(core.width_of(i)) / (nhi - nlo + 1);
-    const double mo = agg.mass_old[i];
-    for (unsigned cc = nlo; cc <= nhi; ++cc) force += dg[cc] * mass_new;
-    for (unsigned cc = lo; cc <= hi; ++cc) force -= dg[cc] * mo;
-  };
-  {
-    // contribution(k, c, c), with the division by the one-cycle implied
-    // window folded out: width / 1.0 is exactly width.
-    const unsigned lo = core.window_lo(k), hi = core.window_hi(k);
-    if (!(lo == c && hi == c)) {
-      const double mo = agg.mass_old[k];
-      force += dg[c] * static_cast<double>(core.width_of(k));
-      for (unsigned cc = lo; cc <= hi; ++cc) force -= dg[cc] * mo;
-    }
+/// Calls part(i, nlo, nhi, mass_new) for every fragment whose implied
+/// window [nlo, nhi] under placing `k` at `c` differs from its current
+/// window: `k` itself, then its predecessors nearest first, then its
+/// successors. Only the fragment and its carry chain change windows. The
+/// aggregate guards skip a whole chain walk only when no part in it would
+/// fire.
+template <class Part>
+inline void for_each_part(const SchedulerCore& core, const ChainAggregates& agg,
+                          std::size_t k, unsigned c, Part&& part) {
+  // The one-cycle implied window's mass is width / 1.0, exactly width.
+  if (!(core.window_lo(k) == c && core.window_hi(k) == c)) {
+    part(k, c, c, static_cast<double>(core.width_of(k)));
   }
+  auto other = [&](std::size_t i, unsigned nlo, unsigned nhi) {
+    if (nlo == core.window_lo(i) && nhi == core.window_hi(i)) return;
+    part(i, nlo, nhi,
+         static_cast<double>(core.width_of(i)) / (nhi - nlo + 1));
+  };
   if (agg.max_prev_hi[k] > c) {
     for (std::size_t p = core.prev_fragment(k); p != SchedulerCore::npos;
          p = core.prev_fragment(p)) {
-      contribution(p, core.window_lo(p), std::min(core.window_hi(p), c));
+      other(p, core.window_lo(p), std::min(core.window_hi(p), c));
     }
   }
   if (agg.min_next_lo[k] < c) {
     for (std::size_t q = core.next_fragment(k); q != SchedulerCore::npos;
          q = core.next_fragment(q)) {
-      contribution(q, std::max(core.window_lo(q), c), core.window_hi(q));
+      other(q, std::max(core.window_lo(q), c), core.window_hi(q));
     }
   }
+}
+
+/// Paulin-style self force of the implied windows against the current
+/// distribution graph: the exact evaluator. Its FP accumulation is
+/// operation-for-operation the historical sequence.
+double force_of(const SchedulerCore& core, const double* dg, std::size_t k,
+                unsigned c, const ChainAggregates& agg) {
+  double force = 0;
+  for_each_part(core, agg, k, c,
+                [&](std::size_t i, unsigned nlo, unsigned nhi, double mass_new) {
+                  for (unsigned cc = nlo; cc <= nhi; ++cc) {
+                    force += dg[cc] * mass_new;
+                  }
+                  const double mo = agg.mass_old[i];
+                  for (unsigned cc = core.window_lo(i); cc <= core.window_hi(i);
+                       ++cc) {
+                    force -= dg[cc] * mo;
+                  }
+                });
   return force;
 }
 
-/// One evaluated candidate. `kc` packs (fragment << 32) | cycle, so the
-/// numeric order on kc is exactly the historical scan order (fragments
-/// ascending, cycles ascending within a fragment) — the tie-break an equal
-/// force resolves to.
-struct Candidate {
-  double force;
-  std::uint64_t kc;
-};
-
-inline std::uint64_t pack_kc(std::size_t k, unsigned c) {
-  return (static_cast<std::uint64_t>(k) << 32) | c;
+/// A certified lower bound on force_of(core, dg, k, c, agg), from the
+/// prefix sums `pre` of dg: the same parts, each window's dg sum in O(1),
+/// minus the margin derived in the header.
+double force_bound(const SchedulerCore& core, const double* pre,
+                   std::size_t k, unsigned c, const ChainAggregates& agg) {
+  double sum = 0, scale = 0;
+  std::uint64_t terms = 0, parts = 0;
+  for_each_part(core, agg, k, c,
+                [&](std::size_t i, unsigned nlo, unsigned nhi, double mass_new) {
+                  const unsigned lo = core.window_lo(i), hi = core.window_hi(i);
+                  const double mo = agg.mass_old[i];
+                  const double a = pre[nhi + 1], b = pre[nlo];
+                  const double x = pre[hi + 1], y = pre[lo];
+                  sum += mass_new * (a - b) - mo * (x - y);
+                  scale += mass_new * (a + b) + mo * (x + y);
+                  terms += (nhi - nlo) + (hi - lo) + 2;
+                  ++parts;
+                });
+  const std::uint64_t latency = core.transform().latency;
+  const double n = static_cast<double>(terms + 2 * latency + parts + 8);
+  return sum - n * DBL_EPSILON * scale;
 }
 
-/// Heap order: pop the smallest (force, kc). NaN forces (which the serial
+/// One scored candidate. `kc` packs (fragment << 32) | (cycle << 1) |
+/// bound, so the numeric order on kc is exactly the historical scan order
+/// (fragments ascending, cycles ascending within a fragment) — the
+/// tie-break an equal key resolves to. `key` is the exact force when the
+/// low bit is clear, and a lower bound on it when it is set.
+struct Candidate {
+  double key;
+  std::uint64_t kc;
+};
+static_assert(sizeof(Candidate) == 16, "a heap entry stays two words");
+
+constexpr std::uint64_t kBound = 1;
+
+inline std::uint64_t pack_kc(std::size_t k, unsigned c, std::uint64_t bound) {
+  return (static_cast<std::uint64_t>(k) << 32) |
+         (static_cast<std::uint64_t>(c) << 1) | bound;
+}
+
+/// The (fragment, cycle) of a packed kc.
+inline std::pair<std::size_t, unsigned> unpack_kc(std::uint64_t kc) {
+  return {static_cast<std::size_t>(kc >> 32),
+          static_cast<unsigned>((kc & 0xFFFFFFFFu) >> 1)};
+}
+
+/// Heap order: pop the smallest (key, kc). NaN keys (which the serial
 /// scan would never let replace an earlier candidate) never win a pop
 /// against a non-NaN earlier entry, matching the historical update rule
 /// `f < best_force`.
 inline bool heap_later(const Candidate& a, const Candidate& b) {
-  return a.force > b.force || (a.force == b.force && a.kc > b.kc);
+  return a.key > b.key || (a.key == b.key && a.kc > b.kc);
 }
 
-/// One scan chunk's output: the evaluated candidates, and the
-/// chain-feasible (fragment, cycle) pairs the earliest-cycle bound removed.
+/// One scan chunk's output: the scored candidates, and the chain-feasible
+/// (fragment, cycle) pairs the earliest-cycle bound removed.
 struct ScanChunk {
   std::vector<Candidate> cands;
   std::uint64_t filtered = 0;
 };
 
-/// Evaluates every feasible candidate of `eligible[begin, end)` into `out`
-/// (read-only against core/dg/agg and the oracle — safe to run concurrently
-/// on disjoint ranges).
-void scan_range(const SchedulerCore& core, const double* dg,
+/// Scores every feasible candidate of `eligible[begin, end)` into `out`
+/// (read-only against core/pre/agg and the oracle — safe to run
+/// concurrently on disjoint ranges).
+void scan_range(const SchedulerCore& core, const double* pre,
                 const ChainAggregates& agg,
                 const std::vector<std::size_t>& eligible, std::size_t begin,
                 std::size_t end, ScanChunk& out) {
@@ -220,28 +303,27 @@ void scan_range(const SchedulerCore& core, const double* dg,
     }
     out.filtered += first - cmin;
     for (unsigned c = first; c <= cmax && c >= first; ++c) {
-      double f;
       if (klo == c && khi == c && agg.max_prev_hi[k] <= c &&
           agg.min_next_lo[k] >= c) {
-        // No contribution fires anywhere: force_of would execute zero FP
+        // No part fires anywhere: force_of would execute zero FP
         // operations and return exactly +0.0.
-        f = 0.0;
+        out.cands.push_back({0.0, pack_kc(k, c, 0)});
       } else {
-        f = force_of(core, dg, k, c, agg);
+        out.cands.push_back(
+            {force_bound(core, pre, k, c, agg), pack_kc(k, c, kBound)});
       }
-      out.cands.push_back({f, pack_kc(k, c)});
     }
   }
 }
 
-/// Spin-barrier worker pool for speculative candidate evaluation (opt-in:
+/// Spin-barrier worker pool for the speculative bound scan (opt-in:
 /// SchedulerOptions::candidate_workers != 1): workers wait on a generation
-/// counter, evaluate their chunk of the eligible list into a per-worker
-/// buffer, and signal completion; the calling thread evaluates chunk 0 in
-/// the meantime and then merges. Scans only read the oracle; the winning
-/// candidate is committed serially by the caller, so schedules are
-/// bit-identical for every worker count and chunking (the heap's
-/// (force, kc) order is a total order independent of insertion order).
+/// counter, score their chunk of the eligible list into a per-worker
+/// buffer, and signal completion; the calling thread scores chunk 0 in
+/// the meantime and then merges. Scans only read the oracle; refinement
+/// and the commit stay on the caller, so schedules are bit-identical for
+/// every worker count and chunking (the heap's (key, kc) order is a total
+/// order independent of insertion order).
 /// Spin+yield instead of a condvar: a mesh-sized schedule crosses this
 /// barrier ~1200 times, and wake-up latency would dominate.
 class CandidateWorkers {
@@ -270,9 +352,9 @@ public:
   /// Scans `eligible` across all workers and returns the per-worker result
   /// buffers (chunk w of the round-robin-balanced split in results()[w]).
   const std::vector<ScanChunk>& scan(
-      const double* dg, const ChainAggregates& agg,
+      const double* pre, const ChainAggregates& agg,
       const std::vector<std::size_t>& eligible) {
-    dg_ = dg;
+    pre_ = pre;
     agg_ = &agg;
     eligible_ = &eligible;
     const unsigned n_workers = workers();
@@ -294,7 +376,7 @@ private:
         (eligible.size() + n_workers - 1) / n_workers;
     const std::size_t begin = std::min(eligible.size(), w * per);
     const std::size_t end = std::min(eligible.size(), begin + per);
-    scan_range(core_, dg_, *agg_, eligible, begin, end, results_[w]);
+    scan_range(core_, pre_, *agg_, eligible, begin, end, results_[w]);
   }
 
   void worker_loop(unsigned w) {
@@ -317,7 +399,7 @@ private:
   std::atomic<unsigned> done_{0};
   std::atomic<bool> stop_{false};
   // Round inputs, published before the generation bump.
-  const double* dg_ = nullptr;
+  const double* pre_ = nullptr;
   const ChainAggregates* agg_ = nullptr;
   const std::vector<std::size_t>* eligible_ = nullptr;
 };
@@ -344,6 +426,7 @@ FragSchedule schedule_transformed_forcedirected(const TransformResult& t,
   for (std::size_t k = 0; k < n; ++k) {
     if (core.prev_fragment(k) == SchedulerCore::npos) eligible.push_back(k);
   }
+  std::vector<double> dg, pre(t.latency + 1, 0.0);
   ScanChunk scanned;  // this round's candidates
   const unsigned n_workers = resolve_workers(options, n);
   std::optional<CandidateWorkers> pool;
@@ -352,35 +435,50 @@ FragSchedule schedule_transformed_forcedirected(const TransformResult& t,
   CancelCheckpoint cancel(options.cancel, /*stride=*/8);
   for (std::size_t committed = 0; committed < n; ++committed) {
     cancel.tick();
-    const std::vector<double> dg = core.distribution();
+    core.distribution(dg);
+    for (std::size_t x = 0; x < dg.size(); ++x) pre[x + 1] = pre[x] + dg[x];
 
     std::vector<Candidate>& cands = scanned.cands;
     if (pool) {
       cands.clear();
       scanned.filtered = 0;
-      for (const ScanChunk& part : pool->scan(dg.data(), agg, eligible)) {
+      for (const ScanChunk& part : pool->scan(pre.data(), agg, eligible)) {
         cands.insert(cands.end(), part.cands.begin(), part.cands.end());
         scanned.filtered += part.filtered;
       }
     } else {
-      scan_range(core, dg.data(), agg, eligible, 0, eligible.size(), scanned);
+      scan_range(core, pre.data(), agg, eligible, 0, eligible.size(), scanned);
     }
     if (options.counters) {
       options.counters->candidates_evaluated += cands.size();
       options.counters->candidates_filtered += scanned.filtered;
     }
+    if (options.cross_check) {
+      for (const Candidate& cand : cands) {
+        if (!(cand.kc & kBound)) continue;
+        const auto [k, c] = unpack_kc(cand.kc);
+        HLS_ASSERT(cand.key <= force_of(core, dg.data(), k, c, agg),
+                   "a force bound exceeds the exact force");
+      }
+    }
 
-    // Try candidates in ascending (force, fragment, cycle) until the exact
+    // Try exact candidates in ascending (force, fragment, cycle) until the
     // oracle accepts one — the same sequence the historical ban-and-rescan
-    // produced, without re-deriving unchanged forces after each rejection.
+    // produced. A bound that reaches the top is refined in place.
     std::make_heap(cands.begin(), cands.end(), heap_later);
     bool placed_one = false;
     while (!cands.empty()) {
       std::pop_heap(cands.begin(), cands.end(), heap_later);
-      const Candidate best = cands.back();
+      Candidate& best = cands.back();
+      const auto [best_k, best_c] = unpack_kc(best.kc);
+      if (best.kc & kBound) {
+        best = {force_of(core, dg.data(), best_k, best_c, agg),
+                best.kc & ~kBound};
+        std::push_heap(cands.begin(), cands.end(), heap_later);
+        if (options.counters) ++options.counters->candidates_refined;
+        continue;
+      }
       cands.pop_back();
-      const std::size_t best_k = static_cast<std::size_t>(best.kc >> 32);
-      const unsigned best_c = static_cast<unsigned>(best.kc & 0xFFFFFFFFu);
       if (!core.try_place(best_k, best_c)) continue;
 
       // Only the committed chain's windows change: clamp and refold it,

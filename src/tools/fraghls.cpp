@@ -561,7 +561,8 @@ void print_oracle_counters(const FlowResult& r) {
   const OracleCounters& c = *r.counters;
   std::cout << "oracle (" << r.flow << "): " << c.candidates_evaluated
             << " candidates evaluated, " << c.candidates_filtered
-            << " filtered, " << c.candidates_probed << " probed, "
+            << " filtered, " << c.candidates_refined << " refined, "
+            << c.candidates_probed << " probed, "
             << c.candidates_rejected << " rejected, " << c.candidates_committed
             << " committed, " << c.words_repropagated
             << " words repropagated\n";

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "alloc/bitlevel.hpp"
@@ -12,6 +13,7 @@
 #include "sched/core.hpp"
 #include "sched/forcedir.hpp"
 #include "suites/suites.hpp"
+#include "timing/target.hpp"
 
 namespace hls {
 namespace {
@@ -125,6 +127,8 @@ TEST(ForceDirected, ProbesOnlyCandidatesTheOracleCanAccept) {
       const OracleCounters c = counters_of(t);
       EXPECT_EQ(c.candidates_committed, t.adds.size())
           << s.name << " lat " << lat;
+      EXPECT_LE(c.candidates_refined, c.candidates_evaluated)
+          << s.name << " lat " << lat;
       // Without the filter: up to 90 probes per commit (ar_lattice, L=8).
       EXPECT_LE(c.candidates_probed * 2, c.candidates_committed * 5)
           << s.name << " lat " << lat << ": " << c.candidates_probed
@@ -137,6 +141,51 @@ TEST(ForceDirected, ProbesOnlyCandidatesTheOracleCanAccept) {
       }
     }
   }
+}
+
+TEST(ForceDirected, BoundsNeverExceedTheExactForce) {
+  // cross_check asserts, for every candidate scored by a bound, that the
+  // bound is at most its exact force, and must not change the schedule.
+  // Run it in every build type, at the registry's lowest latency and at 3x
+  // it, where candidate windows are wide.
+  SchedulerOptions plain;
+  plain.cross_check = false;
+  SchedulerOptions checked;
+  checked.cross_check = true;
+  for (const SuiteEntry& s : registry_suites()) {
+    const Dfg built = s.build();
+    const Dfg kernel = is_kernel_form(built) ? built : extract_kernel(built);
+    const unsigned lowest =
+        *std::min_element(s.latencies.begin(), s.latencies.end());
+    for (const unsigned lat : {lowest, 3 * lowest}) {
+      for (const char* target : {"paper-ripple", "cla"}) {
+        const TransformResult t =
+            transform_spec(kernel, lat, 0, resolve_target(target).delay);
+        const FragSchedule a = schedule_transformed_forcedirected(t, plain);
+        FragSchedule b;
+        ASSERT_NO_THROW(b = schedule_transformed_forcedirected(t, checked))
+            << s.name << " lat " << lat << " " << target;
+        EXPECT_EQ(to_string(t.spec, a.schedule), to_string(t.spec, b.schedule))
+            << s.name << " lat " << lat << " " << target;
+      }
+    }
+  }
+}
+
+TEST(ForceDirected, ExactForcesOnlyWhereTheyCanWin) {
+  // At 3x its lowest latency OPFC + SCA has wide windows: most candidates
+  // lose to the winner on their bound alone and never need an exact force.
+  const SuiteEntry& s = adpcm_suites()[2];
+  ASSERT_EQ(s.name, "OPFC + SCA");
+  const TransformResult t = transform_spec(extract_kernel(s.build()), 36);
+  OracleCounters c;
+  SchedulerOptions options;
+  options.cross_check = false;
+  options.counters = &c;
+  (void)schedule_transformed_forcedirected(t, options);
+  EXPECT_GT(c.candidates_refined, 0u);
+  EXPECT_LE(c.candidates_refined * 10, c.candidates_evaluated)
+      << c.candidates_refined << " of " << c.candidates_evaluated;
 }
 
 TEST(ForceDirected, ComparableResourceQuality) {

@@ -12,13 +12,16 @@
 // The JSON carries only datapath counts, so the same loop also pins every
 // uncached result's full Datapath (bindings, registers, muxes, the stored-run
 // register plan) and, where the result carries a transform and a schedule,
-// the emitted RTL VHDL, in tests/golden/rtl_digests.txt.
+// the emitted RTL VHDL, in tests/golden/rtl_digests.txt. A second test pins
+// force-directed schedules at relaxed latencies, where candidate windows are
+// wide, in tests/golden/forcedir_wide_digests.txt.
 //
-// Regenerate deliberately with FRAGHLS_REGEN_GOLDEN=1, which rewrites both
-// golden files from the current build.
+// Regenerate deliberately with FRAGHLS_REGEN_GOLDEN=1, which rewrites every
+// golden file a run compares against from the current build.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -36,6 +39,7 @@ namespace {
 
 const char* const kGolden = "identity_digests.txt";
 const char* const kRtlGolden = "rtl_digests.txt";
+const char* const kWideGolden = "forcedir_wide_digests.txt";
 
 void mix_datapath(Digest& d, const Datapath& dp) {
   d.mix(dp.fus.size());
@@ -156,6 +160,55 @@ TEST(Identity, EveryFlowPointIsByteIdenticalAndPinned) {
 
   expect_golden(lines, kGolden);
   expect_golden(rtl_lines, kRtlGolden);
+}
+
+TEST(Identity, ForceDirectedWideWindowsArePinned) {
+  // The registry latencies above leave force-directed scheduling narrow
+  // windows; relaxed latencies give every fragment many candidate cycles.
+  // Pin the optimized flow's force-directed schedules at 2x and 3x each
+  // suite's lowest latency: the result JSON plus every schedule row and
+  // merged adder op, one digest per suite.
+  const Session session(SessionOptions{.workers = 1});
+  std::string lines;
+  for (const SuiteEntry& suite : registry_suites()) {
+    const Dfg spec = suite.build();
+    const unsigned lowest =
+        *std::min_element(suite.latencies.begin(), suite.latencies.end());
+    Digest d;
+    for (const unsigned factor : {2u, 3u}) {
+      for (const std::string target : {"paper-ripple", "cla"}) {
+        for (const bool narrow : {false, true}) {
+          FlowRequest req;
+          req.spec = spec;
+          req.flow = "optimized";
+          req.latency = factor * lowest;
+          req.scheduler = "forcedirected";
+          req.target = target;
+          req.options.narrow = narrow;
+          const FlowResult r = session.run(req);
+          const std::string json = to_json(r);
+          d.mix_bytes(json.data(), json.size());
+          ASSERT_TRUE(r.schedule) << suite.name << " L" << req.latency;
+          for (const ScheduleRow& row : r.schedule->schedule.rows) {
+            d.mix(row.op.index);
+            d.mix(row.cycle);
+            d.mix(row.bits.lo);
+            d.mix(row.bits.width);
+          }
+          for (const FragSchedule::FuOp& op : r.schedule->fu_ops) {
+            d.mix(op.orig.index);
+            d.mix(op.bits.lo);
+            d.mix(op.bits.width);
+            d.mix(op.cycle);
+            d.mix(op.nodes.size());
+            for (const NodeId n : op.nodes) d.mix(n.index);
+          }
+        }
+      }
+    }
+    lines += suite.name + " " + hex(d) + "\n";
+  }
+  expect_golden(lines, kWideGolden);
 }
 
 } // namespace

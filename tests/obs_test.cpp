@@ -355,6 +355,7 @@ TEST(MetricsBridgeTest, OracleCountersSumIntoTheRegistry) {
   OracleCounters counters;
   counters.candidates_evaluated = 10;
   counters.candidates_filtered = 5;
+  counters.candidates_refined = 2;
   counters.candidates_probed = 7;
   counters.candidates_rejected = 3;
   counters.candidates_committed = 4;
@@ -364,6 +365,7 @@ TEST(MetricsBridgeTest, OracleCountersSumIntoTheRegistry) {
   publish_oracle_counters(reg, counters);  // counters accumulate
   EXPECT_EQ(reg.counter("oracle.candidates_evaluated").value(), 20u);
   EXPECT_EQ(reg.counter("oracle.candidates_filtered").value(), 10u);
+  EXPECT_EQ(reg.counter("oracle.candidates_refined").value(), 4u);
   EXPECT_EQ(reg.counter("oracle.candidates_probed").value(), 14u);
   EXPECT_EQ(reg.counter("oracle.candidates_rejected").value(), 6u);
   EXPECT_EQ(reg.counter("oracle.candidates_committed").value(), 8u);

@@ -377,15 +377,19 @@ TEST(SessionJson, OracleCountersRideTheTimingOptIn) {
     EXPECT_EQ(c.candidates_probed, c.candidates_rejected + c.candidates_committed)
         << scheduler;
     EXPECT_GT(c.words_repropagated, 0u) << scheduler;
+    EXPECT_LE(c.candidates_refined, c.candidates_evaluated) << scheduler;
     if (std::string(scheduler) == "list") {
       EXPECT_EQ(c.candidates_evaluated, 0u);
       EXPECT_EQ(c.candidates_filtered, 0u);
+      EXPECT_EQ(c.candidates_refined, 0u);
     }
     const std::string j = to_json(r);
     EXPECT_NE(j.find("\"oracle\":{\"candidates_evaluated\":" +
                      std::to_string(c.candidates_evaluated) +
                      ",\"candidates_filtered\":" +
-                     std::to_string(c.candidates_filtered) + ","),
+                     std::to_string(c.candidates_filtered) +
+                     ",\"candidates_refined\":" +
+                     std::to_string(c.candidates_refined) + ","),
               std::string::npos)
         << scheduler;
   }
